@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import estimators, filtering, process_sim, risk_engine
@@ -39,11 +40,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _float_list(text):
+def _finite_float(text):
+    # model constants must be finite: inf and nan would flow into the
+    # engine and come back as a plausible-looking table or a late warning
     try:
-        values = [float(part) for part in text.split(",") if part != ""]
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _float_list(text):
+    values = [_finite_float(part) for part in text.split(",") if part != ""]
     if not values:
         raise argparse.ArgumentTypeError("empty value list")
     return values
@@ -54,9 +64,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(p, *, reps=100_000):
-        p.add_argument("--alpha", type=float, default=1.0, help="drift slope (default 1)")
-        p.add_argument("--sigma", type=float, default=1.0, help="noise volatility (default 1)")
-        p.add_argument("--T", type=float, default=1.0, help="time horizon (default 1)")
+        p.add_argument("--alpha", type=_finite_float, default=1.0, help="drift slope (default 1)")
+        p.add_argument("--sigma", type=_finite_float, default=1.0, help="noise volatility (default 1)")
+        p.add_argument("--T", type=_finite_float, default=1.0, help="time horizon (default 1)")
         p.add_argument("--reps", type=int, default=reps, help=f"replicates (default {reps})")
         p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
         p.add_argument("--n-basis", type=int, default=1024, help="expansion length (default 1024)")
@@ -67,7 +77,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="one observed path and its shrunk estimate")
     common(p)
     p.add_argument("--n", type=int, default=5, help="functional dimension (default 5)")
-    p.add_argument("--a", type=float, default=None, help="exponent (default 2-n)")
+    p.add_argument("--a", type=_finite_float, default=None, help="exponent (default 2-n)")
 
     p = sub.add_parser("gain-curve", help="gain for n = 3..n-max")
     common(p)
@@ -87,21 +97,21 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bayes", help="Bayes risk: closed form vs Monte Carlo")
     common(p, reps=20_000)
-    p.add_argument("--tau", type=float, default=1.0, help="prior volatility (default 1)")
-    p.add_argument("--v-slope", type=float, default=0.0,
+    p.add_argument("--tau", type=_finite_float, default=1.0, help="prior volatility (default 1)")
+    p.add_argument("--v-slope", type=_finite_float, default=0.0,
                    help="slope of the linear prior mean drift (default 0)")
 
     p = sub.add_parser("filter", help="conditional drift and variance of one path")
     common(p)
-    p.add_argument("--tau", type=float, default=1.0, help="prior volatility (default 1)")
-    p.add_argument("--v-slope", type=float, default=0.0,
+    p.add_argument("--tau", type=_finite_float, default=1.0, help="prior volatility (default 1)")
+    p.add_argument("--v-slope", type=_finite_float, default=0.0,
                    help="slope of the linear prior mean drift (default 0)")
 
     p = sub.add_parser("identity-suite", help="paired closed-form risk identity checks")
     common(p)
     p.add_argument("--n", type=int, default=4, help="functional dimension (default 4)")
-    p.add_argument("--a", type=float, default=None, help="exponent (default 2-n)")
-    p.add_argument("--corrupt-lambda", type=float, default=1.0, help=argparse.SUPPRESS)
+    p.add_argument("--a", type=_finite_float, default=None, help="exponent (default 2-n)")
+    p.add_argument("--corrupt-lambda", type=_finite_float, default=1.0, help=argparse.SUPPRESS)
 
     p = sub.add_parser("optimal-n", help="argmax of the gain curve")
     common(p)

@@ -142,15 +142,6 @@ def cramer_rao_bound(sigma_profile, T) -> float:
 
 
 @lru_cache(maxsize=16)
-def _coef_to_path(sigma, T, n_basis, grid_m):
-    # maps the coefficient vector eta to grid values of X^u
-    basis = SineBasis(sigma, T, n_basis)
-    mat = basis.eigenvalues()[:, None] * basis.orthonormal_matrix(TimeGrid(grid_m, T))
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=16)
 def _ortho_rows(sigma, T, n, grid_m):
     mat = SineBasis(sigma, T, n).orthonormal_matrix(TimeGrid(grid_m, T))
     mat.setflags(write=False)
@@ -176,13 +167,20 @@ def _block_bounds(reps):
 
 
 def _run_blocks(worker, cfg, reps, workers):
+    """Run worker over the fixed blocks; return each column of its result
+    tuples stacked in block order, so column.sum(axis=0) reduces in
+    replicate-index order whatever the worker count."""
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     bounds = _block_bounds(reps)
-    if workers is not None and workers > 1:
+    if workers > 1:
         starts = [s for s, _ in bounds]
         counts = [c for _, c in bounds]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(partial(worker, cfg), starts, counts, chunksize=1))
-    return [worker(cfg, s, c) for s, c in bounds]
+            parts = list(ex.map(partial(worker, cfg), starts, counts, chunksize=1))
+    else:
+        parts = [worker(cfg, s, c) for s, c in bounds]
+    return [np.stack(column) for column in zip(*parts)]
 
 
 def _report(total, total_sq, reps, seed, label):
@@ -201,33 +199,17 @@ class _PathCfg:
     sigma: float
     T: float
     n_basis: int
-    grid_m: int
+    group: int = 1
 
 
 def _efficient_block(cfg, start, count):
-    # estimate - u = X - u = X^u: the drift cancels identically
-    eta = _noise_block(cfg.seed, start, count, cfg.n_basis)
-    xu = eta @ _coef_to_path(cfg.sigma, cfg.T, cfg.n_basis, cfg.grid_m)
-    risks = (xu * xu) @ _quad_weights(cfg.T, cfg.grid_m)
-    return float(np.sum(risks)), float(np.sum(risks * risks))
-
-
-@dataclass(frozen=True, eq=False)
-class _XbarCfg:
-    seed: int
-    sigma: float
-    T: float
-    n_basis: int
-    grid_m: int
-    group: int
-
-
-def _xbar_block(cfg, start, count):
-    # start/count index groups; group g consumes replicates g*group..(g+1)*group-1
+    # estimate - u = X - u = X^u = sum_k lambda_k eta_k e_k: the drift
+    # cancels, and the L^2 risk is the coefficient sum sum_k (lambda_k eta_k)^2.
+    # start/count index groups; group g averages replicates g*group..(g+1)*group-1
     eta = _noise_block(cfg.seed, start * cfg.group, count * cfg.group, cfg.n_basis)
     eta = eta.reshape(count, cfg.group, cfg.n_basis).mean(axis=1)
-    xu = eta @ _coef_to_path(cfg.sigma, cfg.T, cfg.n_basis, cfg.grid_m)
-    risks = (xu * xu) @ _quad_weights(cfg.T, cfg.grid_m)
+    coef = eta * SineBasis(cfg.sigma, cfg.T, cfg.n_basis).eigenvalues()
+    risks = np.einsum("ij,ij->i", coef, coef)
     return float(np.sum(risks)), float(np.sum(risks * risks))
 
 
@@ -237,34 +219,20 @@ class _SteinCfg:
     sigma: float
     T: float
     n_basis: int
-    grid_m: int
+    grid_m: int      # only the correction-forms cross-check uses the grid
     n: int
     a: float
     b: np.ndarray
     risk_ref: float
     lambda_scale: float = 1.0
-    track_curves: bool = False
-
-
-@dataclass(eq=False)
-class _SteinPartials:
-    risk: float
-    risk_sq: float
-    diffs: np.ndarray       # sums of the four paired differences
-    diffs_sq: np.ndarray
-    grad: float
-    grad_sq: float
-    chain_max: float
-    forms_max: float
-    corr_sum: np.ndarray | None
 
 
 def _stein_block(cfg, start, count):
     n, a = cfg.n, cfg.a
     eta = _noise_block(cfg.seed, start, count, cfg.n_basis)
     # the test hook corrupts the eigenvalues only where coefficients are
-    # formed; reconstruction below stays honest, so a scale != 1 breaks
-    # the pairing the identities rely on
+    # formed; the error coefficients below stay honest, so a scale != 1
+    # breaks the pairing the identities rely on
     lam = SineBasis(cfg.sigma, cfg.T, n).eigenvalues() * cfg.lambda_scale
     c = eta[:, :n] / lam + cfg.b
     dn = np.einsum("ij,ij->i", c, c)
@@ -273,13 +241,11 @@ def _stein_block(cfg, start, count):
         raise DegenerateSampleError(
             f"zero functional denominator at replicate {bad}", replicate=bad
         )
-    e_n = _ortho_rows(cfg.sigma, cfg.T, n, cfg.grid_m)
-    qw = _quad_weights(cfg.T, cfg.grid_m)
-    proj = c @ e_n
-    corr = (a / dn)[:, None] * proj
-    xu = eta @ _coef_to_path(cfg.sigma, cfg.T, cfg.n_basis, cfg.grid_m)
-    err = xu + corr
-    risk = (err * err) @ qw
+    # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
+    corr = (a / dn)[:, None] * c
+    err = eta * SineBasis(cfg.sigma, cfg.T, cfg.n_basis).eigenvalues()
+    err[:, :n] += corr
+    risk = np.einsum("ij,ij->i", err, err)
 
     delta_f = a * (n + a - 2) / dn
     delta_sqrt = (a * (n - 2 + a / 2) / 2) / dn
@@ -296,22 +262,18 @@ def _stein_block(cfg, start, count):
 
     forms_max = 0.0
     if a == 2 - n:
-        norms = (proj * proj) @ qw
-        js = (-(n - 2) / norms)[:, None] * proj
+        # James-Stein form -(n-2) proj/||proj||^2, with ||proj||^2 integrated
+        # on the grid through the Gram matrix of the first n sine rows
+        e_n = _ortho_rows(cfg.sigma, cfg.T, n, cfg.grid_m)
+        gram = (e_n * _quad_weights(cfg.T, cfg.grid_m)) @ e_n.T
+        norms = np.einsum("ij,ij->i", c @ gram, c)
+        js = (-(n - 2) / norms)[:, None] * c
         forms_max = float(np.max(np.abs(corr - js)))
 
-    corr_sum = corr.sum(axis=0) if cfg.track_curves else None
-    return _SteinPartials(
-        risk=float(np.sum(risk)),
-        risk_sq=float(np.sum(risk * risk)),
-        diffs=diffs.sum(axis=1),
-        diffs_sq=(diffs * diffs).sum(axis=1),
-        grad=float(np.sum(grad)),
-        grad_sq=float(np.sum(grad * grad)),
-        chain_max=chain_max,
-        forms_max=forms_max,
-        corr_sum=corr_sum,
-    )
+    return (float(np.sum(risk)), float(np.sum(risk * risk)),
+            diffs.sum(axis=1), (diffs * diffs).sum(axis=1),
+            float(np.sum(grad)), float(np.sum(grad * grad)),
+            chain_max, forms_max, corr.sum(axis=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,25 +363,25 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
     from the prior each replicate and u is ignored; with prior_drift=False
     the fixed drift u is used.  Deterministic for fixed
     (seed, reps, grid_m, n_basis) independent of workers.
+
+    The efficient and Stein risks are sums over the first n_basis
+    coefficients and do not depend on grid_m; the Bayes risk is integrated
+    on the grid_m-interval grid.
     """
     if reps < 2:
         raise ValueError("need reps >= 2")
     if estimator == "efficient":
-        cfg = _PathCfg(seed, params.sigma, params.T, n_basis, grid_m)
-        parts = _run_blocks(_efficient_block, cfg, reps, workers)
-        total = np.sum(np.array([p[0] for p in parts]))
-        total_sq = np.sum(np.array([p[1] for p in parts]))
-        return _report(total, total_sq, reps, seed, "efficient-risk")
+        cfg = _PathCfg(seed, params.sigma, params.T, n_basis)
+        total, total_sq = _run_blocks(_efficient_block, cfg, reps, workers)
+        return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "efficient-risk")
     if isinstance(estimator, CylindricalFunctional):
         cfg = _SteinCfg(
             seed=seed, sigma=params.sigma, T=params.T, n_basis=n_basis, grid_m=grid_m,
             n=estimator.n, a=estimator.a, b=estimator.offsets(u, params),
             risk_ref=cramer_rao_bound(params.sigma, params.T),
         )
-        parts = _run_blocks(_stein_block, cfg, reps, workers)
-        total = np.sum(np.array([p.risk for p in parts]))
-        total_sq = np.sum(np.array([p.risk_sq for p in parts]))
-        return _report(total, total_sq, reps, seed, "stein-risk")
+        total, total_sq = _run_blocks(_stein_block, cfg, reps, workers)[:2]
+        return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "stein-risk")
     if isinstance(estimator, BayesSpec):
         if sigma_profile is None:
             sigma_profile = VolatilityProfile.constant(params.sigma)
@@ -428,10 +390,8 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
             sigma_profile=sigma_profile, params=params,
             u=None if prior_drift else u,
         )
-        parts = _run_blocks(_bayes_block, cfg, reps, workers)
-        total = np.sum(np.array([p[0] for p in parts]))
-        total_sq = np.sum(np.array([p[1] for p in parts]))
-        return _report(total, total_sq, reps, seed, "bayes-risk")
+        total, total_sq = _run_blocks(_bayes_block, cfg, reps, workers)
+        return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "bayes-risk")
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -454,18 +414,17 @@ def sample_average_estimator(samples) -> PathSample:
     )
 
 
-def sample_average_risk(group_size, params, reps, seed, *, grid_m=2048,
-                        n_basis=1024, workers=1) -> RiskReport:
+def sample_average_risk(group_size, params, reps, seed, *, n_basis=1024,
+                        workers=1) -> RiskReport:
     """Risk of the N-sample average path over reps independent groups."""
     if group_size < 1:
         raise ValueError("need group_size >= 1")
     if reps < 2:
         raise ValueError("need reps >= 2")
-    cfg = _XbarCfg(seed, params.sigma, params.T, n_basis, grid_m, group_size)
-    parts = _run_blocks(_xbar_block, cfg, reps, workers)
-    total = np.sum(np.array([p[0] for p in parts]))
-    total_sq = np.sum(np.array([p[1] for p in parts]))
-    return _report(total, total_sq, reps, seed, f"average-of-{group_size}-risk")
+    cfg = _PathCfg(seed, params.sigma, params.T, n_basis, group_size)
+    total, total_sq = _run_blocks(_efficient_block, cfg, reps, workers)
+    return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed,
+                   f"average-of-{group_size}-risk")
 
 
 def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams,
@@ -478,6 +437,10 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     paired stderr.  Pathwise rows bound exact algebraic identities by
     1e-10.  The bias row checks ||E corr||^2 <= E||D log F||^2.
     lambda_scale != 1 is a fault-injection hook for negative controls.
+
+    The risk and bias rows are coefficient sums and do not depend on
+    grid_m; the correction-forms row integrates the James-Stein norm on
+    the grid_m-interval grid, as an independent cross-check.
     """
     if reps < 2:
         raise ValueError("need reps >= 2")
@@ -485,18 +448,15 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
         seed=seed, sigma=params.sigma, T=params.T, n_basis=n_basis, grid_m=grid_m,
         n=fnl.n, a=fnl.a, b=fnl.offsets(u, params),
         risk_ref=cramer_rao_bound(params.sigma, params.T),
-        lambda_scale=lambda_scale, track_curves=True,
+        lambda_scale=lambda_scale,
     )
-    parts = _run_blocks(_stein_block, cfg, reps, workers)
-    risk_total = np.sum(np.array([p.risk for p in parts]))
-    risk_mean = risk_total / reps
-    diffs = np.sum(np.stack([p.diffs for p in parts]), axis=0)
-    diffs_sq = np.sum(np.stack([p.diffs_sq for p in parts]), axis=0)
-    grad_total = np.sum(np.array([p.grad for p in parts]))
-    grad_sq = np.sum(np.array([p.grad_sq for p in parts]))
-    chain_max = max(p.chain_max for p in parts)
-    forms_max = max(p.forms_max for p in parts)
-    corr_mean = np.sum(np.stack([p.corr_sum for p in parts]), axis=0) / reps
+    risk, _, diffs, diffs_sq, grad, grad_sq, chain, forms, corr = _run_blocks(
+        _stein_block, cfg, reps, workers)
+    risk_mean = risk.sum(axis=0) / reps
+    diffs, diffs_sq = diffs.sum(axis=0), diffs_sq.sum(axis=0)
+    grad_total, grad_sq = grad.sum(axis=0), grad_sq.sum(axis=0)
+    chain_max, forms_max = float(chain.max()), float(forms.max())
+    corr_mean = corr.sum(axis=0) / reps
 
     names = ["unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk", "harmonic-risk"]
     rows = []
@@ -522,8 +482,7 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     grad_mean = grad_total / reps
     grad_var = max((grad_sq - reps * grad_mean**2) / (reps - 1), 0.0)
     grad_se = math.sqrt(grad_var / reps)
-    qw = _quad_weights(params.T, grid_m)
-    bias_sq = float((corr_mean * corr_mean) @ qw)
+    bias_sq = float(corr_mean @ corr_mean)
     rows.append(IdentityRow(
         name="bias-bound", lhs=bias_sq, rhs=grad_mean,
         paired_stderr=grad_se, passed=bool(bias_sq <= grad_mean + 3.0 * grad_se),
@@ -567,11 +526,8 @@ def _gain_rho(alpha, sigma, T):
 
 
 def _gain_sums(n_max, rho, reps, seed, workers):
-    cfg = _GainCfg(seed=seed, n_max=n_max, rho=rho)
-    parts = _run_blocks(_gain_block, cfg, reps, workers)
-    total = np.sum(np.stack([p[0] for p in parts]), axis=0)
-    total_sq = np.sum(np.stack([p[1] for p in parts]), axis=0)
-    return total, total_sq
+    total, total_sq = _run_blocks(_gain_block, _GainCfg(seed, n_max, rho), reps, workers)
+    return total.sum(axis=0), total_sq.sum(axis=0)
 
 
 def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
@@ -642,11 +598,8 @@ def universal_constant(reps, seed, *, workers=1) -> RiskReport:
     """
     if reps < 2:
         raise ValueError("need reps >= 2")
-    cfg = _ConstCfg(seed=seed)
-    parts = _run_blocks(_const_block, cfg, reps, workers)
-    total = np.sum(np.array([p[0] for p in parts]))
-    total_sq = np.sum(np.array([p[1] for p in parts]))
-    return _report(total, total_sq, reps, seed, "universal-constant")
+    total, total_sq = _run_blocks(_const_block, _ConstCfg(seed), reps, workers)
+    return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "universal-constant")
 
 
 def gain_small_ratio_asymptote(alpha, sigma, T, n) -> float:

@@ -1,4 +1,5 @@
 import csv
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,15 @@ from driftlab import cli
 
 def run(argv):
     return cli.main(argv)
+
+
+def child_env():
+    # a `python -m driftlab.cli` child must import the driftlab under test,
+    # which pytest may have found through its own pythonpath setting
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def read_rows(path):
@@ -203,12 +213,37 @@ class TestExitCodes:
         assert run(["constant", "--reps", "100",
                     "--out", "/nonexistent-dir/deep/x.csv"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gain-curve", "--alpha", "inf", "--n-max", "5"],
+        ["gain-curve", "--sigma", "nan", "--n-max", "5"],
+        ["constant", "--T=-inf"],
+        ["bayes", "--tau", "inf"],
+        ["filter", "--v-slope", "nan", "--grid", "32"],
+        ["identity-suite", "--a", "nan", "--grid", "32", "--n-basis", "16"],
+        ["identity-suite", "--corrupt-lambda", "nan", "--grid", "32", "--n-basis", "16"],
+        ["gain-surface", "--n-max", "4", "--sigma-range", "1,inf"],
+        ["gain-surface", "--n-max", "4", "--T-range", "nan,1"],
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--reps", "100", "--out", str(out)]) == 1
+        assert "not a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
+        out = tmp_path / "const.csv"
+        assert run(["constant", "--reps", "2000", "--workers", workers,
+                    "--out", str(out)]) == 1
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_console_script_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "driftlab.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         for name in ("simulate", "gain-curve", "identity-suite", "optimal-n"):
@@ -236,7 +271,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "driftlab.cli", "gain-curve", "--n-max", "4",
              "--reps", "500", "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert out.exists()

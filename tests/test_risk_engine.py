@@ -31,6 +31,7 @@ from driftlab import (
     sample_average_estimator,
     sample_average_risk,
     simulate_path,
+    stein_estimate,
     stein_risk_identity_check,
     unbiased_risk_identity_check,
     universal_constant,
@@ -107,6 +108,30 @@ class TestMcRisk:
         assert a.mean == b.mean == c.mean
         assert a.stderr == b.stderr == c.stderr
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            mc_risk("efficient", U, PARAMS, 100, 0, grid_m=64, n_basis=16, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            universal_constant(100, 0, workers=workers)
+
+    def test_coefficient_risks_match_grid_quadrature(self):
+        # the engine sums coefficients; the public path API integrates the
+        # same replicates on the grid, where the first 64 sine rows are
+        # orthonormal under the trapezoid rule
+        reps, seed, grid = 64, 13, TimeGrid(256, 1.0)
+        w = grid.trapezoid_weights()
+        eff, stein = [], []
+        for r in range(reps):
+            sample = simulate_path(seed, r, U, PARAMS, grid, 64)
+            err = stein_estimate(sample, U, JS4).values - sample.u
+            eff.append(float((sample.xu * sample.xu) @ w))
+            stein.append(float((err * err) @ w))
+        rep_eff = mc_risk("efficient", U, PARAMS, reps, seed, grid_m=256, n_basis=64)
+        rep_stein = mc_risk(JS4, U, PARAMS, reps, seed, grid_m=256, n_basis=64)
+        assert rep_eff.mean == pytest.approx(np.mean(eff), rel=1e-12)
+        assert rep_stein.mean == pytest.approx(np.mean(stein), rel=1e-12)
+
 
 class TestSampleAverage:
     def test_single_sample_identity(self):
@@ -140,7 +165,7 @@ class TestSampleAverage:
     def test_risk_scales_as_r_over_n(self):
         theory = truncated_efficient_risk(64)
         for group in (4, 25):
-            rep = sample_average_risk(group, PARAMS, 8_000, 3, grid_m=256, n_basis=64)
+            rep = sample_average_risk(group, PARAMS, 8_000, 3, n_basis=64)
             assert abs(rep.mean - theory / group) < 3 * rep.stderr
 
 
@@ -178,6 +203,18 @@ class TestIdentitySuite:
         # algebraic rows stay exact: they are downstream of the same
         # corrupted coefficients on both sides
         assert report.row("chain-rule-pathwise").passed
+
+    def test_risk_and_bias_rows_do_not_depend_on_grid(self):
+        # n_basis 512 exceeds the 64 grid intervals, where the sine rows
+        # alias on the grid; the coefficient-space rows must not notice
+        coarse = identity_suite(JS4, U, PARAMS, 2_000, 4, grid_m=64, n_basis=512)
+        fine = identity_suite(JS4, U, PARAMS, 2_000, 4, grid_m=2048, n_basis=512)
+        for name in ("unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk",
+                     "harmonic-risk", "bias-bound"):
+            r1, r2 = coarse.row(name), fine.row(name)
+            assert (r1.lhs, r1.rhs, r1.paired_stderr) == pytest.approx(
+                (r2.lhs, r2.rhs, r2.paired_stderr), rel=1e-12)
+            assert r1.passed == r2.passed
 
     def test_worker_invariance(self):
         one = identity_suite(JS4, U, PARAMS, 9_000, 2, grid_m=256, n_basis=64)
