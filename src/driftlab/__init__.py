@@ -39,23 +39,16 @@ from .process_sim import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
-    basis_derivative,
-    basis_fn,
-    drift_inner_product,
     drift_inner_products,
-    eigenvalue,
-    gamma_fn,
     noise_stream,
     observed_coefficient,
     observed_path,
-    orthonormal_fn,
     reconstruct_path,
     simulate_noise,
     simulate_path,
     stieltjes_cumulative,
 )
 from .risk_engine import (
-    SIX_OVER_PI_SQ,
     GainCurve,
     GainEstimate,
     GainPoint,
@@ -72,7 +65,6 @@ from .risk_engine import (
     identity_suite,
     mc_risk,
     optimal_n_search,
-    sample_average_estimator,
     sample_average_risk,
     stein_risk_identity_check,
     unbiased_risk_identity_check,

@@ -17,7 +17,7 @@ for identical configuration, including the seed, and does not depend on
 --workers.
 
 Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
-3 degenerate sample, 4 identity-suite failure.
+3 degenerate sample, 4 identity-suite failure (each failing row on stderr).
 """
 
 from __future__ import annotations
@@ -52,6 +52,18 @@ def _finite_float(text):
     return value
 
 
+def _positive_int(text):
+    # counts and sizes: a value below one would be ignored by some
+    # subcommands and rejected late by others
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _float_list(text):
     values = [_finite_float(part) for part in text.split(",") if part != ""]
     if not values:
@@ -67,11 +79,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--alpha", type=_finite_float, default=1.0, help="drift slope (default 1)")
         p.add_argument("--sigma", type=_finite_float, default=1.0, help="noise volatility (default 1)")
         p.add_argument("--T", type=_finite_float, default=1.0, help="time horizon (default 1)")
-        p.add_argument("--reps", type=int, default=reps, help=f"replicates (default {reps})")
+        p.add_argument("--reps", type=_positive_int, default=reps, help=f"replicates (default {reps})")
         p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
-        p.add_argument("--n-basis", type=int, default=1024, help="expansion length (default 1024)")
-        p.add_argument("--grid", type=int, default=2048, help="grid intervals (default 2048)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+        p.add_argument("--n-basis", type=_positive_int, default=1024, help="expansion length (default 1024)")
+        p.add_argument("--grid", type=_positive_int, default=2048, help="grid intervals (default 2048)")
+        p.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default 1)")
         p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("simulate", help="one observed path and its shrunk estimate")
@@ -254,6 +266,9 @@ def _cmd_identity_suite(args) -> int:
     rows = [(r.name, r.lhs, r.rhs, r.paired_stderr, r.passed) for r in report.rows]
     _write_csv(args.out, ["name", "lhs", "rhs", "paired_stderr", "pass"], rows)
     _write_plot_script(args.out, "identity suite", ["2:3 with points"])
+    for row in report.rows:
+        if not row.passed:
+            print(f"driftlab: identity failed: {row.explain()}", file=sys.stderr)
     return 0 if report.all_passed else 4
 
 

@@ -229,7 +229,7 @@ def scaled_projection(sample: PathSample, u: DriftSpec, n: int) -> EstimateSerie
     basis = SineBasis(params.sigma, params.T, n)
     lam = basis.eigenvalues()
     coeffs = (sample.eta[:n] + drift_inner_products(u, n, params)) / lam
-    values = coeffs @ basis.orthonormal_matrix(sample.grid)
+    values = coeffs @ basis.orthonormal_matrix(sample.grid.points)
     return EstimateSeries(values=values, label="scaled-projection")
 
 
@@ -242,7 +242,7 @@ def stein_correction(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctiona
     """
     c, dn = functional_coefficients(sample, u, fnl)
     params = sample.params
-    e_mat = SineBasis(params.sigma, params.T, fnl.n).orthonormal_matrix(sample.grid)
+    e_mat = SineBasis(params.sigma, params.T, fnl.n).orthonormal_matrix(sample.grid.points)
     values = (fnl.a * c / dn) @ e_mat
     return EstimateSeries(values=values, label="stein-correction")
 

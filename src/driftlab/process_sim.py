@@ -177,11 +177,10 @@ class DriftSpec:
         if self.kind == "linear":
             return self.slope * t
         if self.kind == "coefficients":
-            out = np.zeros_like(t)
-            for j, c in enumerate(self.coeffs, start=1):
-                if c != 0.0:
-                    out += c * basis_fn(j, t, params)
-            return out
+            # u = sum_k c_k h_k with h_k = lambda_k e_k / sigma^2
+            basis, c = self._basis(params)
+            weights = c * basis.eigenvalues() / params.sigma**2
+            return (weights @ basis.orthonormal_matrix(t)).reshape(t.shape)
         # tabulated: cumulative trapezoid of the stored derivative
         from scipy.integrate import cumulative_trapezoid
 
@@ -193,68 +192,33 @@ class DriftSpec:
         if self.kind == "linear":
             return np.full_like(t, self.slope)
         if self.kind == "coefficients":
-            out = np.zeros_like(t)
-            for j, c in enumerate(self.coeffs, start=1):
-                if c != 0.0:
-                    out += c * basis_derivative(j, t, params)
-            return out
+            basis, c = self._basis(params)
+            return (c @ basis.derivative_matrix(t)).reshape(t.shape)
         return np.interp(t, self.du_grid.points, self.du)
+
+    def _basis(self, params):
+        # an empty combination is the zero drift: one zero-weighted mode
+        c = np.asarray(self.coeffs or (0.0,))
+        return SineBasis(params.sigma, params.T, c.size), c
 
 
 # ---------------------------------------------------------------------------
 # sine basis
 
 
-def _check_index(k):
-    if k < 1:
-        raise ValueError(f"basis index must be >= 1, got {k}")
-
-
-def _check_time(t, T):
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > T):
-        raise ValueError("time outside [0, T]")
-    return t
-
-
-def basis_fn(k, t, params):
-    """h_k(t) = (sqrt(2T) / (sigma pi (k-1/2))) sin((k-1/2) pi t / T)."""
-    _check_index(k)
-    t = _check_time(t, params.T)
-    freq = (k - 0.5) * math.pi / params.T
-    amp = math.sqrt(2.0 * params.T) / (params.sigma * math.pi * (k - 0.5))
-    return amp * np.sin(freq * t)
-
-
-def basis_derivative(k, t, params):
-    """d/dt h_k(t) = (1/sigma) sqrt(2/T) cos((k-1/2) pi t / T)."""
-    _check_index(k)
-    t = _check_time(t, params.T)
-    freq = (k - 0.5) * math.pi / params.T
-    return (1.0 / params.sigma) * math.sqrt(2.0 / params.T) * np.cos(freq * t)
-
-
-def eigenvalue(k, params):
-    """lambda_k = sigma T / (pi (k-1/2)); strictly decreasing in k."""
-    _check_index(k)
-    return params.sigma * params.T / (math.pi * (k - 0.5))
-
-
-def gamma_fn(k, t, params):
-    """(Gamma h_k)(t) = sigma^2 h_k(t) for constant volatility."""
-    return params.sigma**2 * basis_fn(k, t, params)
-
-
-def orthonormal_fn(k, t, params):
-    """e_k(t) = lambda_k^{-1} (Gamma h_k)(t) = sqrt(2/T) sin((k-1/2) pi t / T)."""
-    _check_index(k)
-    t = _check_time(t, params.T)
-    return math.sqrt(2.0 / params.T) * np.sin((k - 0.5) * math.pi * t / params.T)
-
-
 @dataclass(frozen=True)
 class SineBasis:
-    """First `max_index` basis functions for fixed (sigma, T), vectorized."""
+    """The Karhunen-Loeve system of X^u for fixed (sigma, T), modes k = 1..max_index.
+
+        lambda_k       = sigma T / (pi (k - 1/2))                 eigenvalues, decreasing
+        e_k(t)         = sqrt(2/T) sin((k - 1/2) pi t / T)        orthonormal in L^2(dt)
+        h_k(t)         = lambda_k e_k(t) / sigma^2                Cameron-Martin functions
+        (Gamma h_k)(t) = sigma^2 h_k(t) = lambda_k e_k(t)
+        dh_k/dt        = (1/sigma) sqrt(2/T) cos((k - 1/2) pi t / T)
+
+    so <h_j, h_k> = int dh_j/dt dh_k/dt dt = delta_jk / sigma^2.  The matrix
+    methods take an array of times in [0, T] and return one row per mode.
+    """
 
     sigma: float
     T: float
@@ -266,71 +230,44 @@ class SineBasis:
         if self.sigma <= 0 or self.T <= 0:
             raise ValueError("sigma and T must be positive")
 
-    @property
-    def params(self):
-        return ModelParams(sigma=self.sigma, T=self.T)
-
-    def eigenvalues(self, n=None):
-        n = self.max_index if n is None else n
-        k = np.arange(1, n + 1)
+    def eigenvalues(self):
+        k = np.arange(1, self.max_index + 1)
         return self.sigma * self.T / (np.pi * (k - 0.5))
 
-    def orthonormal_matrix(self, grid, n=None):
-        """Rows e_k(t_i) for k = 1..n; orthonormal in L^2(dt)."""
-        n = self.max_index if n is None else n
-        k = np.arange(1, n + 1)
-        phases = np.outer((k - 0.5) * np.pi / self.T, grid.points)
-        return math.sqrt(2.0 / self.T) * np.sin(phases)
+    def orthonormal_matrix(self, t):
+        """Rows e_k(t_i) for k = 1..max_index."""
+        return math.sqrt(2.0 / self.T) * np.sin(self._phases(t))
 
-    def fn_matrix(self, grid, n=None):
-        """Rows h_k(t_i) for k = 1..n."""
-        lam = self.eigenvalues(n)
-        return (lam / self.sigma**2)[:, None] * self.orthonormal_matrix(grid, n)
+    def derivative_matrix(self, t):
+        """Rows dh_k/dt (t_i) for k = 1..max_index."""
+        return (1.0 / self.sigma) * math.sqrt(2.0 / self.T) * np.cos(self._phases(t))
 
-    def derivative_matrix(self, grid, n=None):
-        n = self.max_index if n is None else n
-        k = np.arange(1, n + 1)
-        phases = np.outer((k - 0.5) * np.pi / self.T, grid.points)
-        return (1.0 / self.sigma) * math.sqrt(2.0 / self.T) * np.cos(phases)
-
-
-def drift_inner_product(u, k, params):
-    """Unweighted pairing <u, h_k> = int_0^T du/ds * dh_k/ds ds.
-
-    Uses the closed form for linear drifts, the exact coefficient for
-    basis-combination drifts, and composite trapezoid quadrature for
-    tabulated derivatives.
-    """
-    _check_index(k)
-    if u.kind == "linear":
-        # int_0^T alpha * (1/sigma) sqrt(2/T) cos((k-1/2) pi s / T) ds
-        sign = 1.0 if k % 2 == 1 else -1.0
-        return (
-            u.slope
-            * math.sqrt(2.0 * params.T)
-            / params.sigma
-            * sign
-            / (math.pi * (k - 0.5))
-        )
-    if u.kind == "coefficients":
-        if k <= len(u.coeffs):
-            return u.coeffs[k - 1] / params.sigma**2
-        return 0.0
-    # tabulated derivative: quadrature on its own grid
-    grid = u.du_grid
-    hdot = basis_derivative(k, grid.points, params)
-    return float(np.trapezoid(u.du * hdot, dx=grid.dt))
+    def _phases(self, t):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0) or np.any(t > self.T):
+            raise ValueError("time outside [0, T]")
+        k = np.arange(1, self.max_index + 1)
+        return np.outer((k - 0.5) * np.pi / self.T, t)
 
 
 def drift_inner_products(u, n, params):
-    """Vector of <u, h_k> for k = 1..n."""
+    """Vector of unweighted pairings <u, h_k> = int_0^T du/ds dh_k/ds ds, k = 1..n.
+
+    Uses the closed form for linear drifts, the exact coefficients for
+    basis-combination drifts, and composite trapezoid quadrature for
+    tabulated derivatives.
+    """
     if u.kind == "linear":
         k = np.arange(1, n + 1)
         signs = np.where(k % 2 == 1, 1.0, -1.0)
         return u.slope * math.sqrt(2.0 * params.T) / params.sigma * signs / (
             np.pi * (k - 0.5)
         )
-    return np.array([drift_inner_product(u, k, params) for k in range(1, n + 1)])
+    if u.kind == "coefficients":
+        return np.concatenate((u.coeffs, np.zeros(n)))[:n] / params.sigma**2
+    grid = u.du_grid
+    hdot = SineBasis(params.sigma, params.T, n).derivative_matrix(grid.points)
+    return np.trapezoid(u.du * hdot, dx=grid.dt, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +304,7 @@ def reconstruct_path(eta, grid, params, n_basis=None):
     if n_basis is None:
         n_basis = eta.shape[-1]
     basis = SineBasis(params.sigma, params.T, n_basis)
-    coef_to_path = basis.eigenvalues()[:, None] * basis.orthonormal_matrix(grid)
+    coef_to_path = basis.eigenvalues()[:, None] * basis.orthonormal_matrix(grid.points)
     return eta[..., :n_basis] @ coef_to_path
 
 
@@ -428,14 +365,14 @@ def observed_coefficient(sample, u, k, params=None, method="identity"):
     truncation plus discretization error and is meant for cross-checking.
     """
     params = sample.params if params is None else params
-    _check_index(k)
-    lam = eigenvalue(k, params)
+    basis = SineBasis(params.sigma, params.T, k)
+    lam = basis.eigenvalues()[-1]
     if method == "identity":
         if k > sample.n_basis:
             raise ValueError(f"coefficient {k} beyond simulated n_basis={sample.n_basis}")
-        return (sample.eta[k - 1] + drift_inner_product(u, k, params)) / lam
+        return (sample.eta[k - 1] + drift_inner_products(u, k, params)[-1]) / lam
     if method == "quadrature":
-        hdot = basis_derivative(k, sample.grid.points[:-1], params)
+        hdot = basis.derivative_matrix(sample.grid.points[:-1])[-1]
         increments = np.diff(sample.x)
         return float(np.sum(hdot * increments)) / lam
     raise ValueError(f"unknown method {method!r}")

@@ -19,7 +19,6 @@ from .process_sim import (
     DegenerateSampleError,
     DriftSpec,
     ModelParams,
-    PathSample,
     SineBasis,
     TimeGrid,
     VolatilityProfile,
@@ -29,7 +28,7 @@ from .process_sim import (
 # block size fixed: the replicate partition must not depend on workers
 _BLOCK = 4096
 
-SIX_OVER_PI_SQ = 6.0 / math.pi**2
+_PATHWISE_BOUND = 1e-10  # the pathwise rows are exact up to rounding
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,23 @@ class IdentityRow:
     paired_stderr: float
     passed: bool
 
+    def explain(self) -> str:
+        """The row and its distance from the pass bound, on one line."""
+        if self.name.endswith("-pathwise"):
+            return f"{self.name}: max deviation {self.lhs:.3g} against the bound {_PATHWISE_BOUND:.0e}"
+        z = abs(self.lhs - self.rhs) / self.paired_stderr if self.paired_stderr else math.inf
+        return (f"{self.name}: lhs {self.lhs:.6g}, rhs {self.rhs:.6g}, "
+                f"z = |lhs - rhs| / paired_stderr = {z:.2f}")
+
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """Rows of one identity_suite pass for the functional fnl."""
+
     rows: tuple
     reps: int
     seed: int
+    fnl: CylindricalFunctional
 
     @property
     def all_passed(self) -> bool:
@@ -143,7 +153,7 @@ def cramer_rao_bound(sigma_profile, T) -> float:
 
 @lru_cache(maxsize=16)
 def _ortho_rows(sigma, T, n, grid_m):
-    mat = SineBasis(sigma, T, n).orthonormal_matrix(TimeGrid(grid_m, T))
+    mat = SineBasis(sigma, T, n).orthonormal_matrix(TimeGrid(grid_m, T).points)
     mat.setflags(write=False)
     return mat
 
@@ -395,25 +405,6 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def sample_average_estimator(samples) -> PathSample:
-    """Pointwise average of N observations of the same drift."""
-    if len(samples) < 1:
-        raise ValueError("need at least one sample")
-    first = samples[0]
-    for s in samples[1:]:
-        if s.grid.M != first.grid.M or s.grid.T != first.grid.T:
-            raise ValueError("samples live on mismatched grids")
-        if (s.drift.kind, s.drift.slope) != (first.drift.kind, first.drift.slope):
-            raise ValueError("samples have different drifts")
-    eta = np.mean(np.stack([s.eta for s in samples]), axis=0)
-    xu = np.mean(np.stack([s.xu for s in samples]), axis=0)
-    x = np.mean(np.stack([s.x for s in samples]), axis=0)
-    return PathSample(
-        eta=eta, xu=xu, u=first.u, x=x, grid=first.grid, params=first.params,
-        drift=first.drift, seed=first.seed, replicate_index=first.replicate_index,
-    )
-
-
 def sample_average_risk(group_size, params, reps, seed, *, n_basis=1024,
                         workers=1) -> RiskReport:
     """Risk of the N-sample average path over reps independent groups."""
@@ -472,12 +463,12 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
         ))
     rows.append(IdentityRow(
         name="chain-rule-pathwise", lhs=chain_max, rhs=0.0,
-        paired_stderr=0.0, passed=bool(chain_max <= 1e-10),
+        paired_stderr=0.0, passed=bool(chain_max <= _PATHWISE_BOUND),
     ))
     if fnl.is_james_stein:
         rows.append(IdentityRow(
             name="correction-forms-pathwise", lhs=forms_max, rhs=0.0,
-            paired_stderr=0.0, passed=bool(forms_max <= 1e-10),
+            paired_stderr=0.0, passed=bool(forms_max <= _PATHWISE_BOUND),
         ))
     grad_mean = grad_total / reps
     grad_var = max((grad_sq - reps * grad_mean**2) / (reps - 1), 0.0)
@@ -487,37 +478,30 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
         name="bias-bound", lhs=bias_sq, rhs=grad_mean,
         paired_stderr=grad_se, passed=bool(bias_sq <= grad_mean + 3.0 * grad_se),
     ))
-    return IdentityReport(rows=tuple(rows), reps=reps, seed=seed)
+    return IdentityReport(rows=tuple(rows), reps=reps, seed=seed, fnl=fnl)
 
 
-def unbiased_risk_identity_check(fnl, u, params, reps, seed, **kw) -> IdentityReport:
-    """Paired check of risk = R + E||xi||^2 + 2 E[Delta log F]."""
-    if not fnl.is_superharmonic:
+def unbiased_risk_identity_check(report: IdentityReport) -> IdentityRow:
+    """The paired check of risk = R + E||xi||^2 + 2 E[Delta log F] in report."""
+    if not report.fnl.is_superharmonic:
         raise ValueError("exponent outside the superharmonic range [2-n, 0]")
-    report = identity_suite(fnl, u, params, reps, seed, **kw)
-    return IdentityReport(rows=(report.row("unbiased-risk"),), reps=reps, seed=seed)
+    return report.row("unbiased-risk")
 
 
-def stein_risk_identity_check(fnl, u, params, reps, seed, **kw) -> IdentityReport:
-    """Paired check of risk = R + 4 E[Delta sqrt(F)/sqrt(F)], with the
-    log-gradient variant R - E||D log F||^2 + 2 E[Delta F/F] alongside."""
-    if not fnl.sqrt_is_superharmonic:
+def stein_risk_identity_check(report: IdentityReport) -> tuple:
+    """The paired checks of risk = R + 4 E[Delta sqrt(F)/sqrt(F)] and of the
+    log-gradient variant R - E||D log F||^2 + 2 E[Delta F/F] in report."""
+    if not report.fnl.sqrt_is_superharmonic:
         raise ValueError("exponent outside the sqrt-superharmonic range [4-2n, 0]")
-    report = identity_suite(fnl, u, params, reps, seed, **kw)
-    rows = (report.row("sqrt-laplacian-risk"), report.row("log-gradient-risk"))
-    return IdentityReport(rows=rows, reps=reps, seed=seed)
+    return report.row("sqrt-laplacian-risk"), report.row("log-gradient-risk")
 
 
-def bias_norm(fnl, u, params, reps, seed, *, grid_m=2048, n_basis=1024, workers=1):
-    """(||E corr||^2 grid estimate, closed-form bound report E||D log F||^2)."""
-    if not fnl.is_james_stein:
+def bias_norm(report: IdentityReport) -> IdentityRow:
+    """The bias-bound row of report: lhs ||E corr||^2, rhs the closed-form
+    bound E||D log F||^2, paired_stderr the bound's stderr."""
+    if not report.fnl.is_james_stein:
         raise ValueError("bias bound is stated for a = 2 - n")
-    report = identity_suite(fnl, u, params, reps, seed,
-                            grid_m=grid_m, n_basis=n_basis, workers=workers)
-    row = report.row("bias-bound")
-    bound = RiskReport(mean=row.rhs, stderr=row.paired_stderr, reps=reps, seed=seed,
-                       label="log-gradient-norm-bound")
-    return row.lhs, bound
+    return report.row("bias-bound")
 
 
 def _gain_rho(alpha, sigma, T):

@@ -170,7 +170,7 @@ class TestIdentitySuite:
         ]
         assert all(r[4] == "1" for r in rows)
 
-    def test_corrupted_eigenvalues_exit_four(self, tmp_path):
+    def test_corrupted_eigenvalues_exit_four(self, tmp_path, capsys):
         out = tmp_path / "suite.csv"
         code = run(["identity-suite", "--n", "4", "--reps", "9000", "--seed", "2",
                     "--grid", "256", "--n-basis", "64", "--corrupt-lambda", "2.0",
@@ -180,6 +180,12 @@ class TestIdentitySuite:
         failed = [r[0] for r in rows if r[4] == "0"]
         assert "unbiased-risk" in failed
         assert "sqrt-laplacian-risk" in failed
+        # one stderr line per failing row, each naming the row and its z-score
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(failed)
+        unbiased = next(line for line in err if "unbiased-risk" in line)
+        z = float(unbiased.split("z = |lhs - rhs| / paired_stderr = ")[1])
+        assert z > 3.0
 
 
 class TestOptimalN:
@@ -232,10 +238,22 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_rejected(self, tmp_path, capsys, workers):
-        out = tmp_path / "const.csv"
-        assert run(["constant", "--reps", "2000", "--workers", workers,
-                    "--out", str(out)]) == 1
-        assert "workers" in capsys.readouterr().err
+        # simulate and filter run no replicate pool, so only the flag's
+        # type can reject the value there
+        for argv in (["constant", "--reps", "2000"],
+                     ["simulate", "--grid", "32", "--n-basis", "16"],
+                     ["filter", "--grid", "32", "--n-basis", "16"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert run(argv + ["--workers", workers, "--out", str(out)]) == 1
+            assert "workers" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--reps", "--n-basis", "--grid"])
+    def test_count_flags_must_be_positive(self, tmp_path, capsys, flag):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--grid", "32", "--n-basis", "16", flag, "-1"]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "not a positive integer" in capsys.readouterr().err
         assert not out.exists()
 
 

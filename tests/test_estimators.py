@@ -7,6 +7,7 @@ from driftlab import (
     DegenerateSampleError,
     DriftSpec,
     ModelParams,
+    SineBasis,
     TimeGrid,
     VolatilityProfile,
     bayes_estimate,
@@ -14,7 +15,6 @@ from driftlab import (
     bayes_risk_closed_form,
     correction_norm_sq,
     efficient_estimate,
-    eigenvalue,
     functional_coefficients,
     laplacian_ratios,
     log_gradient_norm_sq,
@@ -67,7 +67,7 @@ class TestFunctionalConfig:
         b = fnl.offsets(U, PARAMS)
         from driftlab import drift_inner_products
 
-        lam = np.array([eigenvalue(k, PARAMS) for k in range(1, 5)])
+        lam = SineBasis(PARAMS.sigma, PARAMS.T, 4).eigenvalues()
         np.testing.assert_allclose(b, drift_inner_products(U, 4, PARAMS) / lam)
 
     def test_explicit_offsets_returned_verbatim(self):
@@ -93,7 +93,7 @@ class TestCoefficients:
             functional_coefficients(s, U, CylindricalFunctional(n=16, a=-2.0))
 
     def test_exact_zero_denominator_raises(self):
-        lam = np.array([eigenvalue(k, PARAMS) for k in range(1, 4)])
+        lam = SineBasis(PARAMS.sigma, PARAMS.T, 3).eigenvalues()
         b = np.array([1.0, -2.0, 0.5])
         eta = -lam * b
         s = sample_with_eta(eta)
@@ -176,7 +176,7 @@ class TestSteinCorrection:
 
 class TestLaplacianRatios:
     def test_hand_values(self):
-        lam1 = eigenvalue(1, PARAMS)
+        lam1 = SineBasis(PARAMS.sigma, PARAMS.T, 1).eigenvalues()[0]
         eta = np.zeros(4)
         eta[0] = 2.0 * lam1
         s = sample_with_eta(eta, u=DriftSpec.zero())
@@ -190,7 +190,7 @@ class TestLaplacianRatios:
 
     def test_unit_denominator_n3(self):
         eta = np.zeros(3)
-        eta[0] = eigenvalue(1, PARAMS)
+        eta[0] = SineBasis(PARAMS.sigma, PARAMS.T, 1).eigenvalues()[0]
         s = sample_with_eta(eta, u=DriftSpec.zero())
         fnl = CylindricalFunctional(n=3, a=-1.0, b=np.zeros(3))
         assert correction_norm_sq(s, DriftSpec.zero(), fnl) == 1.0

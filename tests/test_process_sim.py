@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from driftlab import (
     DegenerateSampleError,
@@ -8,16 +9,10 @@ from driftlab import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
-    basis_derivative,
-    basis_fn,
-    drift_inner_product,
     drift_inner_products,
-    eigenvalue,
-    gamma_fn,
     noise_stream,
     observed_coefficient,
     observed_path,
-    orthonormal_fn,
     reconstruct_path,
     simulate_noise,
     simulate_path,
@@ -28,6 +23,16 @@ import oracles
 
 
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
+
+
+def basis_for(params, n):
+    return SineBasis(params.sigma, params.T, n)
+
+
+def h_matrix(params, n, t):
+    """Rows h_k(t) = lambda_k e_k(t) / sigma^2 for k = 1..n."""
+    basis = basis_for(params, n)
+    return (basis.eigenvalues() / params.sigma**2)[:, None] * basis.orthonormal_matrix(t)
 
 
 class TestModelTypes:
@@ -75,19 +80,22 @@ class TestModelTypes:
 
 class TestBasis:
     def test_boundary_values(self):
-        for k in (1, 2, 7):
-            assert basis_fn(k, 0.0, PARAMS) == 0.0
-            assert orthonormal_fn(k, 0.0, PARAMS) == 0.0
+        assert np.all(basis_for(PARAMS, 7).orthonormal_matrix([0.0]) == 0.0)
+        assert np.all(h_matrix(PARAMS, 7, [0.0]) == 0.0)
 
     def test_gamma_multiplies_by_sigma_sq(self):
+        # Gamma h_k = sigma^2 h_k = lambda_k e_k, with h_k integrated from
+        # its derivative rows, so the three basis formulas are tied together
         params = ModelParams(sigma=3.0, T=2.0)
-        t = np.linspace(0.0, 2.0, 11)
-        np.testing.assert_allclose(
-            gamma_fn(2, t, params), 9.0 * basis_fn(2, t, params), rtol=1e-14
-        )
+        grid = TimeGrid(4096, 2.0)
+        basis = basis_for(params, 4)
+        h = cumulative_trapezoid(basis.derivative_matrix(grid.points), dx=grid.dt,
+                                 initial=0.0)
+        gamma_h = basis.eigenvalues()[:, None] * basis.orthonormal_matrix(grid.points)
+        np.testing.assert_allclose(9.0 * h, gamma_h, atol=1e-6)
 
     def test_eigenvalues_decreasing(self):
-        lam = np.array([eigenvalue(k, PARAMS) for k in range(1, 9)])
+        lam = basis_for(PARAMS, 8).eigenvalues()
         assert np.all(lam > 0)
         assert np.all(np.diff(lam) < 0)
         assert np.isclose(lam[0], 1.0 / (np.pi * 0.5))
@@ -97,7 +105,7 @@ class TestBasis:
         # the trapezoid rule on a uniform grid
         grid = TimeGrid(512, 1.0)
         w = grid.trapezoid_weights()
-        mat = SineBasis(1.0, 1.0, 8).orthonormal_matrix(grid)
+        mat = SineBasis(1.0, 1.0, 8).orthonormal_matrix(grid.points)
         gram = (mat * w) @ mat.T
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-12)
 
@@ -106,7 +114,7 @@ class TestBasis:
         params = ModelParams(sigma=2.0, T=1.5)
         grid = TimeGrid(512, 1.5)
         w = grid.trapezoid_weights()
-        der = SineBasis(2.0, 1.5, 6).derivative_matrix(grid)
+        der = SineBasis(2.0, 1.5, 6).derivative_matrix(grid.points)
         gram = (der * w) @ der.T
         np.testing.assert_allclose(gram, np.eye(6) / 4.0, atol=1e-12)
 
@@ -114,11 +122,12 @@ class TestBasis:
         # lambda_k^2 and e_k are the eigenpairs of the covariance kernel
         sigma, T = 1.3, 0.7
         vals, vecs, t = oracles.kernel_eigensystem(sigma, T, 400)
-        params = ModelParams(sigma=sigma, T=T)
+        basis = SineBasis(sigma, T, 4)
+        lams, rows = basis.eigenvalues(), basis.orthonormal_matrix(t)
         for k in range(1, 5):
-            lam = eigenvalue(k, params)
+            lam = lams[k - 1]
             assert abs(vals[k - 1] / lam**2 - 1.0) < 1e-3
-            ek = orthonormal_fn(k, t, params)
+            ek = rows[k - 1]
             vk = vecs[:, k - 1]
             if np.dot(vk, ek) < 0:
                 vk = -vk
@@ -126,11 +135,14 @@ class TestBasis:
 
     def test_index_and_time_validation(self):
         with pytest.raises(ValueError):
-            basis_fn(0, 0.5, PARAMS)
+            SineBasis(1.0, 1.0, 0)
         with pytest.raises(ValueError):
-            basis_derivative(2, 1.5, PARAMS)
+            basis_for(PARAMS, 2).derivative_matrix([0.5, 1.5])
         with pytest.raises(ValueError):
-            orthonormal_fn(1, -0.1, PARAMS)
+            basis_for(PARAMS, 1).orthonormal_matrix([-0.1])
+        with pytest.raises(ValueError):
+            observed_coefficient(simulate_path(0, 0, DriftSpec.zero(), PARAMS,
+                                               TimeGrid(16, 1.0), 8), DriftSpec.zero(), 0)
 
 
 class TestDriftSpecs:
@@ -144,16 +156,22 @@ class TestDriftSpecs:
         params = ModelParams(sigma=1.7, T=2.0, alpha=0.8)
         u = DriftSpec.linear(0.8)
         t = np.linspace(0.0, 2.0, 40001)
+        vec = drift_inner_products(u, 8, params)
+        hdot = basis_for(params, 8).derivative_matrix(t)
         for k in (1, 2, 3, 8):
-            hdot = basis_derivative(k, t, params)
-            ref = np.trapezoid(0.8 * hdot, t)
-            assert abs(drift_inner_product(u, k, params) - ref) < 1e-8
+            ref = np.trapezoid(0.8 * hdot[k - 1], t)
+            assert abs(vec[k - 1] - ref) < 1e-8
 
     def test_inner_products_vector_matches_scalar(self):
-        u = DriftSpec.linear(1.0)
+        # the tabulated pairings take one axis-1 trapezoid; each entry must
+        # equal the one-mode trapezoid bit for bit
+        grid = TimeGrid(512, 1.0)
+        du = np.cos(3.0 * grid.points) + grid.points**2
+        u = DriftSpec.from_tabulated_derivative(du, grid)
         vec = drift_inner_products(u, 6, PARAMS)
+        hdot = basis_for(PARAMS, 6).derivative_matrix(grid.points)
         for k in range(1, 7):
-            assert vec[k - 1] == drift_inner_product(u, k, PARAMS)
+            assert vec[k - 1] == np.trapezoid(du * hdot[k - 1], dx=grid.dt)
 
     def test_alternating_signs_for_linear_drift(self):
         vec = drift_inner_products(DriftSpec.linear(1.0), 6, PARAMS)
@@ -165,12 +183,23 @@ class TestDriftSpecs:
         u = DriftSpec.from_coefficients([1.0, -0.5, 0.25])
         vec = drift_inner_products(u, 5, params)
         np.testing.assert_allclose(vec, [0.25, -0.125, 0.0625, 0.0, 0.0])
+        np.testing.assert_array_equal(vec[:2], drift_inner_products(u, 2, params))
 
     def test_coefficient_drift_curve(self):
         params = ModelParams(sigma=2.0, T=1.0)
         u = DriftSpec.from_coefficients([0.0, 1.0])
         t = np.linspace(0.0, 1.0, 9)
-        np.testing.assert_allclose(u.values(t, params), basis_fn(2, t, params))
+        np.testing.assert_allclose(u.values(t, params), h_matrix(params, 2, t)[1])
+        np.testing.assert_allclose(u.derivative_values(t, params),
+                                   basis_for(params, 2).derivative_matrix(t)[1])
+
+    def test_empty_coefficient_drift_is_zero(self):
+        u = DriftSpec.from_coefficients([])
+        t = np.linspace(0.0, 1.0, 5)
+        np.testing.assert_array_equal(u.values(t, PARAMS), np.zeros(5))
+        np.testing.assert_array_equal(u.derivative_values(t, PARAMS), np.zeros(5))
+        assert u.values(0.5, PARAMS).shape == ()
+        np.testing.assert_array_equal(drift_inner_products(u, 3, PARAMS), np.zeros(3))
 
     def test_tabulated_derivative_matches_linear(self):
         grid = TimeGrid(2048, 1.0)
@@ -182,10 +211,10 @@ class TestDriftSpecs:
             u_tab.values(grid.points, PARAMS), u_lin.values(grid.points, PARAMS),
             atol=1e-12,
         )
-        for k in (1, 2, 5):
-            assert abs(
-                drift_inner_product(u_tab, k, PARAMS) - drift_inner_product(u_lin, k, PARAMS)
-            ) < 1e-6
+        np.testing.assert_allclose(
+            drift_inner_products(u_tab, 5, PARAMS), drift_inner_products(u_lin, 5, PARAMS),
+            rtol=0.0, atol=1e-6,
+        )
 
 
 class TestNoiseStreams:
@@ -223,7 +252,7 @@ class TestPathConstruction:
         eta = np.zeros(16)
         eta[2] = 1.0
         path = reconstruct_path(eta, grid, PARAMS)
-        expected = eigenvalue(3, PARAMS) * orthonormal_fn(3, grid.points, PARAMS)
+        expected = h_matrix(PARAMS, 3, grid.points)[2]  # sigma = 1: lambda_3 e_3
         np.testing.assert_allclose(path, expected, atol=1e-14)
 
     def test_simulated_path_fields(self):
@@ -247,10 +276,10 @@ class TestPathConstruction:
         # basis concentrates, a sharp check of the scaling
         grid = TimeGrid(2, 1.0)
         n = 256
-        var_theory = sum(
-            eigenvalue(k, PARAMS) ** 2 * orthonormal_fn(k, 1.0, PARAMS) ** 2
-            for k in range(1, n + 1)
-        )
+        basis = basis_for(PARAMS, n)
+        var_theory = float(np.sum(
+            basis.eigenvalues() ** 2 * basis.orthonormal_matrix([1.0])[:, 0] ** 2
+        ))
         acc = 0.0
         reps = 4000
         for rep in range(reps):
@@ -267,9 +296,10 @@ class TestObservedCoefficients:
         grid = TimeGrid(256, 1.0)
         u = DriftSpec.linear(1.0)
         s = simulate_path(3, 0, u, PARAMS, grid, 64)
+        lams = basis_for(PARAMS, 5).eigenvalues()
+        pairings = drift_inner_products(u, 5, PARAMS)
         for k in (1, 2, 5):
-            lam = eigenvalue(k, PARAMS)
-            expected = (s.eta[k - 1] + drift_inner_product(u, k, PARAMS)) / lam
+            expected = (s.eta[k - 1] + pairings[k - 1]) / lams[k - 1]
             assert observed_coefficient(s, u, k) == expected
 
     def test_quadrature_mode_near_identity_mode(self):

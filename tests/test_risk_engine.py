@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from driftlab import (
-    SIX_OVER_PI_SQ,
     BayesSpec,
     CylindricalFunctional,
     DriftSpec,
     GainCurve,
     GainPoint,
+    IdentityReport,
+    IdentityRow,
     ModelParams,
     RiskReport,
+    SineBasis,
     TimeGrid,
     VolatilityProfile,
     asymptotic_gain_check,
@@ -19,7 +21,6 @@ from driftlab import (
     bayes_risk_closed_form,
     bias_norm,
     cramer_rao_bound,
-    eigenvalue,
     gain,
     gain_curve,
     gain_large_sigma_limit,
@@ -28,12 +29,12 @@ from driftlab import (
     mc_risk,
     noise_stream,
     optimal_n_search,
-    sample_average_estimator,
     sample_average_risk,
     simulate_path,
     stein_estimate,
     stein_risk_identity_check,
     unbiased_risk_identity_check,
+    risk_engine,
     universal_constant,
 )
 
@@ -46,7 +47,7 @@ JS4 = CylindricalFunctional(n=4, a=-2.0)
 
 
 def truncated_efficient_risk(n_basis, params=PARAMS):
-    lam = np.array([eigenvalue(k, params) for k in range(1, n_basis + 1)])
+    lam = SineBasis(params.sigma, params.T, n_basis).eigenvalues()
     return float(np.sum(lam * lam))
 
 
@@ -135,32 +136,24 @@ class TestMcRisk:
 
 class TestSampleAverage:
     def test_single_sample_identity(self):
-        grid = TimeGrid(64, 1.0)
-        s = simulate_path(5, 0, U, PARAMS, grid, 32)
-        avg = sample_average_estimator([s])
-        np.testing.assert_array_equal(avg.x, s.x)
-        np.testing.assert_array_equal(avg.eta, s.eta)
-
-    def test_mismatched_grids_rejected(self):
-        s1 = simulate_path(5, 0, U, PARAMS, TimeGrid(64, 1.0), 32)
-        s2 = simulate_path(5, 1, U, PARAMS, TimeGrid(32, 1.0), 32)
-        with pytest.raises(ValueError):
-            sample_average_estimator([s1, s2])
-
-    def test_mismatched_drifts_rejected(self):
-        grid = TimeGrid(64, 1.0)
-        s1 = simulate_path(5, 0, U, PARAMS, grid, 32)
-        s2 = simulate_path(5, 1, DriftSpec.linear(2.0), PARAMS, grid, 32)
-        with pytest.raises(ValueError):
-            sample_average_estimator([s1, s2])
+        # a group of one is the efficient estimator, replicate for replicate
+        one = sample_average_risk(1, PARAMS, 3_000, 5, n_basis=32)
+        eff = mc_risk("efficient", U, PARAMS, 3_000, 5, n_basis=32)
+        assert (one.mean, one.stderr) == (eff.mean, eff.stderr)
 
     def test_average_reduces_noise(self):
-        grid = TimeGrid(64, 1.0)
-        samples = [simulate_path(5, r, U, PARAMS, grid, 32) for r in range(8)]
-        avg = sample_average_estimator(samples)
-        np.testing.assert_allclose(
-            avg.xu, np.mean([s.xu for s in samples], axis=0), atol=1e-15
-        )
+        # group g averages the noise of replicates 8g..8g+7, and its loss is
+        # the coefficient sum of the averaged path
+        reps, group, n_basis = 6, 8, 32
+        lam = SineBasis(PARAMS.sigma, PARAMS.T, n_basis).eigenvalues()
+        losses = []
+        for g in range(reps):
+            eta = np.mean([noise_stream(5, g * group + i).standard_normal(n_basis)
+                           for i in range(group)], axis=0)
+            losses.append(float(np.sum((lam * eta) ** 2)))
+        avg = sample_average_risk(group, PARAMS, reps, 5, n_basis=n_basis)
+        assert avg.mean == pytest.approx(np.mean(losses), rel=1e-12)
+        assert avg.mean < mc_risk("efficient", U, PARAMS, reps, 5, n_basis=n_basis).mean
 
     def test_risk_scales_as_r_over_n(self):
         theory = truncated_efficient_risk(64)
@@ -225,34 +218,43 @@ class TestIdentitySuite:
 
 class TestIdentityWrappers:
     def test_unbiased_check_returns_single_row(self):
-        report = unbiased_risk_identity_check(JS4, U, PARAMS, 8_000, 3,
-                                              grid_m=256, n_basis=64)
-        assert [row.name for row in report.rows] == ["unbiased-risk"]
-        assert report.all_passed
+        report = identity_suite(JS4, U, PARAMS, 8_000, 3, grid_m=256, n_basis=64)
+        row = unbiased_risk_identity_check(report)
+        assert row is report.row("unbiased-risk")
+        assert row.passed
 
     def test_stein_check_returns_both_forms(self):
-        report = stein_risk_identity_check(JS4, U, PARAMS, 8_000, 3,
-                                           grid_m=256, n_basis=64)
-        assert [row.name for row in report.rows] == [
+        report = identity_suite(JS4, U, PARAMS, 8_000, 3, grid_m=256, n_basis=64)
+        rows = stein_risk_identity_check(report)
+        assert [row.name for row in rows] == [
             "sqrt-laplacian-risk", "log-gradient-risk"
         ]
-        assert report.all_passed
+        assert all(row.passed for row in rows)
+
+    def test_checks_read_the_report_and_draw_nothing(self, monkeypatch):
+        report = identity_suite(JS4, U, PARAMS, 2_000, 3, grid_m=64, n_basis=16)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("an identity check ran replicates")
+
+        monkeypatch.setattr(risk_engine, "_run_blocks", no_draws)
+        assert unbiased_risk_identity_check(report) is report.row("unbiased-risk")
+        assert stein_risk_identity_check(report)[0] is report.row("sqrt-laplacian-risk")
+        assert bias_norm(report) is report.row("bias-bound")
 
     def test_exponent_range_enforced(self):
-        with pytest.raises(ValueError):
-            unbiased_risk_identity_check(
-                CylindricalFunctional(n=4, a=-3.0), U, PARAMS, 100, 0
-            )
-        with pytest.raises(ValueError):
-            stein_risk_identity_check(
-                CylindricalFunctional(n=4, a=-4.5), U, PARAMS, 100, 0
-            )
+        # checked on the functional the report was computed for
+        for fnl, check in ((CylindricalFunctional(n=4, a=-3.0), unbiased_risk_identity_check),
+                           (CylindricalFunctional(n=4, a=-4.5), stein_risk_identity_check)):
+            report = identity_suite(fnl, U, PARAMS, 100, 0, grid_m=64, n_basis=16)
+            assert report.fnl is fnl
+            with pytest.raises(ValueError):
+                check(report)
 
     def test_zero_exponent_reduces_to_the_bound(self):
         fnl = CylindricalFunctional(n=4, a=0.0)
-        report = unbiased_risk_identity_check(fnl, U, PARAMS, 4_000, 5,
-                                              grid_m=256, n_basis=64)
-        row = report.rows[0]
+        row = unbiased_risk_identity_check(
+            identity_suite(fnl, U, PARAMS, 4_000, 5, grid_m=256, n_basis=64))
         assert abs(row.rhs - 0.5) < 1e-10  # RHS collapses to R exactly
         assert row.passed
 
@@ -384,9 +386,6 @@ class TestUniversalConstant:
 
 
 class TestAsymptotics:
-    def test_constant_exposed(self):
-        assert abs(SIX_OVER_PI_SQ - 0.60793) < 1e-5
-
     def test_ratio_near_one_at_n50(self):
         rep = asymptotic_gain_check(50, 20_000, 23)
         assert 0.9 < rep.mean < 1.1
@@ -417,21 +416,23 @@ class TestAsymptotics:
 
 class TestBiasNorm:
     def test_bound_holds_and_is_strict(self):
-        bias_sq, bound = bias_norm(JS4, U, PARAMS, 20_000, 29, grid_m=512, n_basis=128)
-        assert bias_sq <= bound.mean + 3 * bound.stderr
+        row = bias_norm(identity_suite(JS4, U, PARAMS, 20_000, 29, grid_m=512, n_basis=128))
+        assert row.lhs <= row.rhs + 3 * row.paired_stderr
         # Jensen gap: ||E xi||^2 strictly below E ||xi||^2
-        assert bias_sq < bound.mean - 3 * bound.stderr
+        assert row.lhs < row.rhs - 3 * row.paired_stderr
 
     def test_zero_drift_zero_offsets_kills_the_bias(self):
         # odd symmetry of the correction under eta -> -eta
         fnl = CylindricalFunctional(n=4, a=-2.0, b=np.zeros(4))
-        bias_sq, bound = bias_norm(fnl, DriftSpec.zero(), PARAMS, 20_000, 29,
-                                   grid_m=512, n_basis=128)
-        assert bias_sq < bound.mean / 100.0
+        row = bias_norm(identity_suite(fnl, DriftSpec.zero(), PARAMS, 20_000, 29,
+                                       grid_m=512, n_basis=128))
+        assert row.lhs < row.rhs / 100.0
 
     def test_requires_james_stein_exponent(self):
+        report = IdentityReport(rows=(), reps=2, seed=0,
+                                fnl=CylindricalFunctional(n=4, a=-1.0))
         with pytest.raises(ValueError):
-            bias_norm(CylindricalFunctional(n=4, a=-1.0), U, PARAMS, 100, 0)
+            bias_norm(report)
 
 
 class TestReportTypes:
@@ -445,3 +446,10 @@ class TestReportTypes:
         rep = RiskReport(mean=1.0, stderr=0.1, reps=100, seed=0, label="x")
         lo, hi = rep.interval()
         assert (lo, hi) == (0.7, 1.3)
+
+    def test_identity_row_explains_its_bound(self):
+        pathwise = IdentityRow("chain-rule-pathwise", 3e-9, 0.0, 0.0, False)
+        assert pathwise.explain() == (
+            "chain-rule-pathwise: max deviation 3e-09 against the bound 1e-10")
+        paired = IdentityRow("unbiased-risk", 0.5, 0.4, 0.025, False)
+        assert paired.explain().endswith("z = |lhs - rhs| / paired_stderr = 4.00")
