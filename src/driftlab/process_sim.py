@@ -280,6 +280,9 @@ def noise_stream(seed, replicate):
     Each (seed, replicate) pair owns a disjoint Philox counter space, so the
     draw for coefficient j of replicate r is a pure function of
     (seed, r, j) no matter how many replicates run, or in what order.
+    This is the definition of a replicate's draws: the risk engine draws a
+    block from one such Generator, re-keyed per replicate, and reproduces
+    it bit for bit.
     """
     if seed < 0 or seed >= 2**64:
         raise ValueError("seed must fit an unsigned 64-bit integer")

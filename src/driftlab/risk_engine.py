@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+from scipy.special import wofz
 
 from .estimators import BayesSpec, CylindricalFunctional, posterior_drift_curve
 from .process_sim import (
@@ -166,9 +167,25 @@ def _quad_weights(T, grid_m):
 
 
 def _noise_block(seed, start, count, dim):
+    """Rows start..start+count-1 of seed's replicates: row i is
+    noise_stream(seed, start + i).standard_normal(dim), bit for bit.
+
+    One Generator serves the block. Per replicate its Philox key is set to
+    (seed, start + i) by assigning the bit generator's state, which also
+    resets the counter and the output buffer, so no stream is built per row.
+    """
+    if start + count - 1 >= 2**64:
+        raise ValueError("replicate index must fit an unsigned 64-bit integer")
     out = np.empty((count, dim), dtype=float)
+    if count == 0:
+        return out
+    gen = noise_stream(seed, start)
+    state = gen.bit_generator.state
+    key = state["state"]["key"]
     for i in range(count):
-        out[i] = noise_stream(seed, start + i).standard_normal(dim)
+        key[1] = start + i
+        gen.bit_generator.state = state
+        gen.standard_normal(dim, out=out[i])
     return out
 
 
@@ -334,12 +351,26 @@ def _gain_block(cfg, start, count):
     ell = np.arange(1, cfg.n_max + 1)
     w = math.pi * (ell - 0.5)
     delta = -cfg.rho * (-1.0) ** ell
-    s = np.cumsum((w * z + delta) ** 2, axis=1)[:, 2:]
-    if np.any(s == 0.0):
-        bad = start + int(np.nonzero(np.any(s == 0.0, axis=1))[0][0])
+    terms = (w * z + delta) ** 2
+    # n = 3 is conditioned on coordinates 2 and 3: with Y = w_1 z_1 + delta_1
+    # and r^2 = their terms, E[1/(Y^2 + r^2) | r] is a Voigt profile
+    r = np.sqrt(terms[:, 1] + terms[:, 2])
+    s = np.cumsum(terms, axis=1, out=terms)[:, 2:]  # in place: no extra count x n_max array
+    # every denominator, conditioned or raw, is at least r^2
+    if np.any(r == 0.0):
+        bad = start + int(np.nonzero(r == 0.0)[0][0])
         raise DegenerateSampleError(f"zero gain denominator at replicate {bad}", replicate=bad)
     g = 2.0 * (np.arange(3, cfg.n_max + 1) - 2) ** 2 / s
+    g[:, 0] = 2.0 * _conditional_inverse_moment(delta[0], w[0], r)
     return g.sum(axis=0), (g * g).sum(axis=0)
+
+
+def _conditional_inverse_moment(delta, w, r):
+    """E[1/(Y^2 + r^2)] for Y ~ N(delta, w^2) and r > 0: the Gaussian-Cauchy
+    convolution, sqrt(pi/2)/(w r) Re w((delta + i r)/(w sqrt 2)), with w(.)
+    the Faddeeva function."""
+    return (math.sqrt(math.pi / 2) / (w * r)
+            * wofz((delta + 1j * r) / (w * math.sqrt(2.0))).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,6 +553,15 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
     2 (n-2)^2 E[(sum_{l<=n} (pi (l-1/2) eta_l - alpha sqrt(2T)/sigma (-1)^l)^2)^{-1}];
     the risk-difference path measures (R - mc_risk(stein, a=2-n))/R with the
     same seed, so the two share the first n coordinates of every replicate.
+
+    At n = 3 the raw replicate 2/Q has infinite variance (P(Q < e) ~ e^{3/2}),
+    so the formula path integrates the first coordinate out in closed form:
+    with w_l = pi (l - 1/2), delta_l = -alpha sqrt(2T)/sigma (-1)^l and
+    r^2 = sum_{l=2,3} (w_l eta_l + delta_l)^2, each replicate contributes
+    2 sqrt(pi/2)/(w_1 r) Re w((delta_1 + i r)/(w_1 sqrt 2)), w the Faddeeva
+    function. Same draws, same mean; the tail of the replicate value goes
+    from x^{-3/2} to x^{-2}, so its variance is log-divergent rather than
+    grossly infinite. The n >= 4 replicates, of finite variance, stay raw.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")

@@ -35,6 +35,24 @@ def inv_moment(weights, offsets):
     return c * val, c * err
 
 
+def conditional_inverse_moment(delta, w, r):
+    """E[1/(Y^2 + r^2)] for Y ~ N(delta, w^2), by direct quadrature of the
+    Gaussian density over 1/(y^2 + r^2).
+
+    The range is cut 40 w either side of delta (the rest is below e^-800)
+    and split at 0, +-r, +-10r, +-100r and delta, so the Cauchy peak of
+    height 1/r^2 is resolved for small r.
+    """
+    def integrand(y):
+        return np.exp(-0.5 * ((y - delta) / w) ** 2) / (w * np.sqrt(2.0 * np.pi)) / (y * y + r * r)
+
+    lo, hi = delta - 40.0 * w, delta + 40.0 * w
+    cuts = {0.0, -r, r, -10.0 * r, 10.0 * r, -100.0 * r, 100.0 * r, delta}
+    edges = [lo] + sorted(p for p in cuts if lo < p < hi) + [hi]
+    return sum(quad(integrand, a, b, limit=500, epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(edges, edges[1:]))
+
+
 def gain_exact(alpha, sigma, T, n):
     """Quadrature value of the gain 2 (n-2)^2 E[1/sum (pi(l-1/2)eta_l + delta_l)^2]."""
     ell = np.arange(1, n + 1)

@@ -22,7 +22,9 @@ def test_tracer_installs_over_the_wrapped_names():
     tracer.install()
     try:
         risk_engine.universal_constant(16, 0)
-        assert tracer.counts["noise_streams"] == 16
+        # one stream per block, re-keyed per replicate; every normal is counted
+        assert tracer.counts["noise_streams"] == 1
+        assert tracer.counts["normals"] == 64
         assert tracer.calls["risk_engine"] == 1
     finally:
         tracer.uninstall()

@@ -338,6 +338,26 @@ class TestGainCurve:
             assert abs(row.gain_mean - ref) < 4 * row.gain_stderr
 
 
+class TestConditionedGain:
+    # the n = 3 column integrates the first coordinate out: w_1 = pi/2 and,
+    # at unit parameters, delta_1 = sqrt(2)
+    @pytest.mark.parametrize("delta", [0.0, math.sqrt(2.0), -3.0, 14.1])
+    @pytest.mark.parametrize("r", [1e-3, 0.05, 1.0, 7.0])
+    def test_closed_form_matches_quadrature(self, delta, r):
+        w = math.pi / 2
+        value = risk_engine._conditional_inverse_moment(delta, w, r)
+        ref = oracles.conditional_inverse_moment(delta, w, r)
+        assert abs(value - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("seed", [20, 22, 24, 40, 47, 55, 72, 89, 119, 123, 132])
+    def test_seeds_where_raw_n3_won_give_four(self, seed):
+        # with the raw 2/Q column, one near-zero Q made n = 3 the argmax here
+        curve = gain_curve(1.0, 1.0, 1.0, 10, 20_480, seed)
+        assert curve.n_opt == 4
+        row = curve.rows[0]
+        assert abs(row.gain_mean - oracles.FROZEN_GAIN_UNIT[3]) < 4 * row.gain_stderr
+
+
 class TestLargeSigmaLimit:
     def test_n4_matches_frozen_constant(self):
         rep = gain_large_sigma_limit(4, 50_000, 8)
