@@ -71,63 +71,58 @@ def _float_list(text):
     return values
 
 
+# every flag once: (type, default, help); each subcommand lists the flags it reads
+_FLAGS = {
+    "alpha": (_finite_float, 1.0, "drift slope"),
+    "sigma": (_finite_float, 1.0, "noise volatility"),
+    "T": (_finite_float, 1.0, "time horizon"),
+    "reps": (_positive_int, 100_000, "replicates"),
+    "seed": (int, 0, "stream seed"),
+    "n-basis": (_positive_int, 1024, "expansion length"),
+    "grid": (_positive_int, 2048, "grid intervals"),
+    "workers": (_positive_int, 1, "worker processes"),
+    "n": (int, 4, "functional dimension"),
+    "a": (_finite_float, None, "exponent (default 2-n)"),
+    "n-max": (int, 10, "largest n"),
+    "tau": (_finite_float, 1.0, "prior volatility"),
+    "v-slope": (_finite_float, 0.0, "slope of the linear prior mean drift"),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="driftlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, *, reps=100_000):
-        p.add_argument("--alpha", type=_finite_float, default=1.0, help="drift slope (default 1)")
-        p.add_argument("--sigma", type=_finite_float, default=1.0, help="noise volatility (default 1)")
-        p.add_argument("--T", type=_finite_float, default=1.0, help="time horizon (default 1)")
-        p.add_argument("--reps", type=_positive_int, default=reps, help=f"replicates (default {reps})")
-        p.add_argument("--seed", type=int, default=0, help="stream seed (default 0)")
-        p.add_argument("--n-basis", type=_positive_int, default=1024, help="expansion length (default 1024)")
-        p.add_argument("--grid", type=_positive_int, default=2048, help="grid intervals (default 2048)")
-        p.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default 1)")
+    def command(name, about, flags, **defaults):
+        p = sub.add_parser(name, help=about)
+        for flag in flags.split():
+            kind, default, text = _FLAGS[flag]
+            default = defaults.get(flag, default)
+            if default is not None:
+                text = f"{text} (default {default:g})"
+            p.add_argument(f"--{flag}", type=kind, default=default, help=text)
         p.add_argument("--out", required=True, help="output CSV path")
+        return p
 
-    p = sub.add_parser("simulate", help="one observed path and its shrunk estimate")
-    common(p)
-    p.add_argument("--n", type=int, default=5, help="functional dimension (default 5)")
-    p.add_argument("--a", type=_finite_float, default=None, help="exponent (default 2-n)")
-
-    p = sub.add_parser("gain-curve", help="gain for n = 3..n-max")
-    common(p)
-    p.add_argument("--n-max", type=int, default=10, help="largest n (default 10)")
-
-    p = sub.add_parser("gain-surface", help="gain over n and one swept parameter")
-    common(p)
-    p.add_argument("--n-max", type=int, default=10, help="largest n (default 10)")
+    command("simulate", "one observed path and its shrunk estimate",
+            "alpha sigma T seed n-basis grid workers n a", n=5)
+    command("gain-curve", "gain for n = 3..n-max", "alpha sigma T reps seed workers n-max")
+    p = command("gain-surface", "gain over n and one swept parameter",
+                "alpha sigma T reps seed workers n-max")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--T-range", type=_float_list, default=None,
                        help="comma-separated horizons to sweep")
     group.add_argument("--sigma-range", type=_float_list, default=None,
                        help="comma-separated volatilities to sweep")
-
-    p = sub.add_parser("constant", help="the universal limit-gain constant")
-    common(p)
-
-    p = sub.add_parser("bayes", help="Bayes risk: closed form vs Monte Carlo")
-    common(p, reps=20_000)
-    p.add_argument("--tau", type=_finite_float, default=1.0, help="prior volatility (default 1)")
-    p.add_argument("--v-slope", type=_finite_float, default=0.0,
-                   help="slope of the linear prior mean drift (default 0)")
-
-    p = sub.add_parser("filter", help="conditional drift and variance of one path")
-    common(p)
-    p.add_argument("--tau", type=_finite_float, default=1.0, help="prior volatility (default 1)")
-    p.add_argument("--v-slope", type=_finite_float, default=0.0,
-                   help="slope of the linear prior mean drift (default 0)")
-
-    p = sub.add_parser("identity-suite", help="paired closed-form risk identity checks")
-    common(p)
-    p.add_argument("--n", type=int, default=4, help="functional dimension (default 4)")
-    p.add_argument("--a", type=_finite_float, default=None, help="exponent (default 2-n)")
+    command("constant", "the universal limit-gain constant", "reps seed workers")
+    command("bayes", "Bayes risk: closed form vs Monte Carlo",
+            "sigma T reps seed grid workers tau v-slope", reps=20_000)
+    command("filter", "conditional drift and variance of one path",
+            "alpha sigma T seed n-basis grid workers tau v-slope")
+    p = command("identity-suite", "paired closed-form risk identity checks",
+                "alpha sigma T reps seed n-basis grid workers n a")
     p.add_argument("--corrupt-lambda", type=_finite_float, default=1.0, help=argparse.SUPPRESS)
-
-    p = sub.add_parser("optimal-n", help="argmax of the gain curve")
-    common(p)
-    p.add_argument("--n-max", type=int, default=10, help="largest n (default 10)")
+    command("optimal-n", "argmax of the gain curve", "alpha sigma T reps seed workers n-max")
     return parser
 
 
@@ -220,7 +215,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_bayes(args) -> int:
-    params = _model(args)
+    params = process_sim.ModelParams(sigma=args.sigma, T=args.T)  # the slope alpha is unused
     spec = estimators.BayesSpec(
         tau=process_sim.VolatilityProfile.constant(args.tau),
         v=process_sim.DriftSpec.linear(args.v_slope),

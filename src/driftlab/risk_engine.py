@@ -189,79 +189,91 @@ def _noise_block(seed, start, count, dim):
     return out
 
 
-def _block_bounds(reps):
-    return [(s, min(_BLOCK, reps - s)) for s in range(0, reps, _BLOCK)]
+@dataclass(frozen=True)
+class _Moments:
+    """Sum, sum of squares and largest magnitude of one per-replicate column
+    (elementwise for a column of vectors) over reps replicates."""
+
+    total: np.ndarray
+    total_sq: np.ndarray
+    peak: np.ndarray
+    reps: int
+
+    @property
+    def mean(self):
+        return self.total / self.reps
+
+    @property
+    def stderr(self):
+        mean = self.mean
+        var = np.maximum((self.total_sq - self.reps * mean * mean) / (self.reps - 1), 0.0)
+        return np.sqrt(var / self.reps)
 
 
-def _run_blocks(worker, cfg, reps, workers):
-    """Run worker over the fixed blocks; return each column of its result
-    tuples stacked in block order, so column.sum(axis=0) reduces in
-    replicate-index order whatever the worker count."""
+def _block_moments(worker, start, count):
+    # reduced where the block ran: the pool ships three values per column,
+    # never the per-replicate arrays
+    return [(col.sum(axis=0), (col * col).sum(axis=0), np.abs(col).max(axis=0))
+            for col in worker(start, count)]
+
+
+def _run_blocks(worker, reps, workers):
+    """Run worker(start, count) over the fixed blocks and return one _Moments
+    per per-replicate column it returns. Each block is reduced along its
+    replicate axis, and the block partials are added in block order, so the
+    result does not depend on the worker count."""
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    bounds = _block_bounds(reps)
+    bounds = [(s, min(_BLOCK, reps - s)) for s in range(0, reps, _BLOCK)]
+    reduce_block = partial(_block_moments, worker)
     if workers > 1:
-        starts = [s for s, _ in bounds]
-        counts = [c for _, c in bounds]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(partial(worker, cfg), starts, counts, chunksize=1))
+            parts = list(ex.map(reduce_block, *zip(*bounds), chunksize=1))
     else:
-        parts = [worker(cfg, s, c) for s, c in bounds]
-    return [np.stack(column) for column in zip(*parts)]
+        parts = [reduce_block(s, c) for s, c in bounds]
+    moments = []
+    for column in zip(*parts):
+        total, total_sq, peak = (np.stack(x) for x in zip(*column))
+        moments.append(_Moments(total.sum(axis=0), total_sq.sum(axis=0), peak.max(axis=0), reps))
+    return moments
 
 
-def _report(total, total_sq, reps, seed, label):
-    mean = total / reps
-    var = max((total_sq - reps * mean * mean) / (reps - 1), 0.0)
-    return RiskReport(mean=mean, stderr=math.sqrt(var / reps), reps=reps, seed=seed, label=label)
+def _report(moments, seed, label, j=()):
+    """The RiskReport of entry j of a moments value (a scalar column: j = ())."""
+    return RiskReport(mean=float(moments.mean[j]), stderr=float(moments.stderr[j]),
+                      reps=moments.reps, seed=seed, label=label)
 
 
 # ---------------------------------------------------------------------------
-# block workers (top level: they cross the process-pool boundary)
+# block workers (top level: they cross the process-pool boundary). Each takes
+# its settings as keywords bound with functools.partial and returns a tuple
+# of per-replicate arrays, replicate index first.
+
+_SUB_CHUNK = 256  # Bayes replicates integrated at once: bounds the grid arrays
 
 
-@dataclass(frozen=True, eq=False)
-class _PathCfg:
-    seed: int
-    sigma: float
-    T: float
-    n_basis: int
-    group: int = 1
-
-
-def _efficient_block(cfg, start, count):
+def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     # estimate - u = X - u = X^u = sum_k lambda_k eta_k e_k: the drift
     # cancels, and the L^2 risk is the coefficient sum sum_k (lambda_k eta_k)^2.
     # start/count index groups; group g averages replicates g*group..(g+1)*group-1
-    eta = _noise_block(cfg.seed, start * cfg.group, count * cfg.group, cfg.n_basis)
-    eta = eta.reshape(count, cfg.group, cfg.n_basis).mean(axis=1)
-    coef = eta * SineBasis(cfg.sigma, cfg.T, cfg.n_basis).eigenvalues()
-    risks = np.einsum("ij,ij->i", coef, coef)
-    return float(np.sum(risks)), float(np.sum(risks * risks))
+    eta = _noise_block(seed, start * group, count * group, n_basis)
+    eta = eta.reshape(count, group, n_basis).mean(axis=1)
+    coef = eta * SineBasis(params.sigma, params.T, n_basis).eigenvalues()
+    return (np.einsum("ij,ij->i", coef, coef),)
 
 
-@dataclass(frozen=True, eq=False)
-class _SteinCfg:
-    seed: int
-    sigma: float
-    T: float
-    n_basis: int
-    grid_m: int      # only the correction-forms cross-check uses the grid
-    n: int
-    a: float
-    b: np.ndarray
-    risk_ref: float
-    lambda_scale: float = 1.0
-
-
-def _stein_block(cfg, start, count):
-    n, a = cfg.n, cfg.a
-    eta = _noise_block(cfg.seed, start, count, cfg.n_basis)
+def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_scale=1.0):
+    # grid_m is read only by the correction-forms cross-check
+    n, a = fnl.n, fnl.a
+    sigma, T = params.sigma, params.T
+    eta = _noise_block(seed, start, count, n_basis)
     # the test hook corrupts the eigenvalues only where coefficients are
     # formed; the error coefficients below stay honest, so a scale != 1
     # breaks the pairing the identities rely on
-    lam = SineBasis(cfg.sigma, cfg.T, n).eigenvalues() * cfg.lambda_scale
-    c = eta[:, :n] / lam + cfg.b
+    lam = SineBasis(sigma, T, n).eigenvalues() * lambda_scale
+    c = eta[:, :n] / lam + b
     dn = np.einsum("ij,ij->i", c, c)
     if np.any(dn == 0.0):
         bad = start + int(np.nonzero(dn == 0.0)[0][0])
@@ -270,7 +282,7 @@ def _stein_block(cfg, start, count):
         )
     # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
     corr = (a / dn)[:, None] * c
-    err = eta * SineBasis(cfg.sigma, cfg.T, cfg.n_basis).eigenvalues()
+    err = eta * SineBasis(sigma, T, n_basis).eigenvalues()
     err[:, :n] += corr
     risk = np.einsum("ij,ij->i", err, err)
 
@@ -278,79 +290,63 @@ def _stein_block(cfg, start, count):
     delta_sqrt = (a * (n - 2 + a / 2) / 2) / dn
     grad = a * a / dn
     dlog = a * (n - 2) / dn
-    r = cfg.risk_ref
-    diffs = np.stack([
-        risk - r - grad - 2.0 * dlog,    # unbiased-risk
-        risk - r - 4.0 * delta_sqrt,     # sqrt-laplacian-risk
-        risk - r + grad - 2.0 * delta_f, # log-gradient-risk
-        risk - r + grad,                 # harmonic-risk (James-Stein case)
-    ])
-    chain_max = float(np.max(np.abs(4.0 * delta_sqrt - 2.0 * delta_f + grad)))
+    r = cramer_rao_bound(sigma, T)
+    chain = 4.0 * delta_sqrt - 2.0 * delta_f + grad
 
-    forms_max = 0.0
+    forms = np.zeros(count)
     if a == 2 - n:
         # James-Stein form -(n-2) proj/||proj||^2, with ||proj||^2 integrated
         # on the grid through the Gram matrix of the first n sine rows
-        e_n = _ortho_rows(cfg.sigma, cfg.T, n, cfg.grid_m)
-        gram = (e_n * _quad_weights(cfg.T, cfg.grid_m)) @ e_n.T
+        e_n = _ortho_rows(sigma, T, n, grid_m)
+        gram = (e_n * _quad_weights(T, grid_m)) @ e_n.T
         norms = np.einsum("ij,ij->i", c @ gram, c)
         js = (-(n - 2) / norms)[:, None] * c
-        forms_max = float(np.max(np.abs(corr - js)))
+        forms = np.abs(corr - js).max(axis=1)
 
-    return (float(np.sum(risk)), float(np.sum(risk * risk)),
-            diffs.sum(axis=1), (diffs * diffs).sum(axis=1),
-            float(np.sum(grad)), float(np.sum(grad * grad)),
-            chain_max, forms_max, corr.sum(axis=0))
-
-
-@dataclass(frozen=True, eq=False)
-class _BayesCfg:
-    seed: int
-    T: float
-    grid_m: int
-    spec: BayesSpec
-    sigma_profile: VolatilityProfile
-    params: ModelParams
-    u: DriftSpec | None      # None: redraw the drift from the prior each replicate
+    return (risk,
+            risk - r - grad - 2.0 * dlog,     # unbiased-risk
+            risk - r - 4.0 * delta_sqrt,      # sqrt-laplacian-risk
+            risk - r + grad - 2.0 * delta_f,  # log-gradient-risk
+            risk - r + grad,                  # harmonic-risk (James-Stein case)
+            grad, chain, forms, corr)
 
 
-def _bayes_block(cfg, start, count):
-    grid = TimeGrid(cfg.grid_m, cfg.T)
-    m = cfg.grid_m
-    qw = _quad_weights(cfg.T, m)
+def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
+    # u None: the drift is redrawn from the prior each replicate
+    m = grid_m
+    grid = TimeGrid(m, params.T)
+    qw = _quad_weights(params.T, m)
     sqdt = math.sqrt(grid.dt)
-    sig_left = cfg.sigma_profile.left_values(grid)
-    draws = _noise_block(cfg.seed, start, count, 2 * m)
-    # the martingale part is built from grid increments here (exact in
-    # distribution at the nodes), so no basis truncation enters
-    xinc = draws[:, :m] * (sig_left * sqdt)
-    if cfg.u is None:
-        tau_left = cfg.spec.tau.left_values(grid)
-        uinc = draws[:, m:] * (tau_left * sqdt)
-        u_vals = np.concatenate([np.zeros((count, 1)), np.cumsum(uinc, axis=1)], axis=1)
-        u_vals += cfg.spec.v.values(grid.points, cfg.params)
-    else:
-        u_vals = np.broadcast_to(cfg.u.values(grid.points, cfg.params), (count, m + 1))
-    xu = np.concatenate([np.zeros((count, 1)), np.cumsum(xinc, axis=1)], axis=1)
-    x = xu + u_vals
-    xi = posterior_drift_curve(x, cfg.spec.v, cfg.spec.tau, cfg.sigma_profile, grid, cfg.params)
-    err = xi - u_vals
-    risks = (err * err) @ qw
-    return float(np.sum(risks)), float(np.sum(risks * risks))
+    sigma_profile = VolatilityProfile.constant(params.sigma)
+    sig_left = sigma_profile.left_values(grid) * sqdt
+    tau_left = spec.tau.left_values(grid) * sqdt
+    drift = (spec.v if u is None else u).values(grid.points, params)
+    risks = np.empty(count)
+    for off in range(0, count, _SUB_CHUNK):
+        sub = min(_SUB_CHUNK, count - off)
+        draws = _noise_block(seed, start + off, sub, 2 * m)
+        u_vals = drift
+        if u is None:
+            u_vals = _from_zero(draws[:, m:] * tau_left) + drift
+        # the martingale part is built from grid increments here (exact in
+        # distribution at the nodes), so no basis truncation enters
+        x = _from_zero(draws[:, :m] * sig_left) + u_vals
+        xi = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params)
+        err = xi - u_vals
+        risks[off:off + sub] = (err * err) @ qw
+    return (risks,)
 
 
-@dataclass(frozen=True, eq=False)
-class _GainCfg:
-    seed: int
-    n_max: int
-    rho: float
+def _from_zero(inc):
+    """Node values of paths that start at 0 and have the given grid increments."""
+    return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
 
 
-def _gain_block(cfg, start, count):
-    z = _noise_block(cfg.seed, start, count, cfg.n_max)
-    ell = np.arange(1, cfg.n_max + 1)
+def _gain_block(start, count, *, seed, n_max, rho):
+    z = _noise_block(seed, start, count, n_max)
+    ell = np.arange(1, n_max + 1)
     w = math.pi * (ell - 0.5)
-    delta = -cfg.rho * (-1.0) ** ell
+    delta = -rho * (-1.0) ** ell
     terms = (w * z + delta) ** 2
     # n = 3 is conditioned on coordinates 2 and 3: with Y = w_1 z_1 + delta_1
     # and r^2 = their terms, E[1/(Y^2 + r^2) | r] is a Voigt profile
@@ -360,9 +356,9 @@ def _gain_block(cfg, start, count):
     if np.any(r == 0.0):
         bad = start + int(np.nonzero(r == 0.0)[0][0])
         raise DegenerateSampleError(f"zero gain denominator at replicate {bad}", replicate=bad)
-    g = 2.0 * (np.arange(3, cfg.n_max + 1) - 2) ** 2 / s
+    g = 2.0 * (np.arange(3, n_max + 1) - 2) ** 2 / s
     g[:, 0] = 2.0 * _conditional_inverse_moment(delta[0], w[0], r)
-    return g.sum(axis=0), (g * g).sum(axis=0)
+    return (g,)
 
 
 def _conditional_inverse_moment(delta, w, r):
@@ -373,22 +369,16 @@ def _conditional_inverse_moment(delta, w, r):
             * wofz((delta + 1j * r) / (w * math.sqrt(2.0))).real)
 
 
-@dataclass(frozen=True, eq=False)
-class _ConstCfg:
-    seed: int
-
-
 _CONST_WEIGHTS = np.array([1.0, 9.0, 25.0, 49.0])
 
 
-def _const_block(cfg, start, count):
-    z = _noise_block(cfg.seed, start, count, 4)
+def _const_block(start, count, *, seed):
+    z = _noise_block(seed, start, count, 4)
     q = (z * z) @ _CONST_WEIGHTS
     if np.any(q == 0.0):
         bad = start + int(np.nonzero(q == 0.0)[0][0])
         raise DegenerateSampleError(f"zero denominator at replicate {bad}", replicate=bad)
-    vals = (32.0 / math.pi**2) / q
-    return float(np.sum(vals)), float(np.sum(vals * vals))
+    return ((32.0 / math.pi**2) / q,)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +386,7 @@ def _const_block(cfg, start, count):
 
 
 def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
-            workers=1, sigma_profile=None, prior_drift=True) -> RiskReport:
+            workers=1, prior_drift=True) -> RiskReport:
     """Monte Carlo L^2([0,T], dt) risk of one estimator family.
 
     estimator is "efficient", a CylindricalFunctional (Stein-type), or a
@@ -409,31 +399,20 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
     coefficients and do not depend on grid_m; the Bayes risk is integrated
     on the grid_m-interval grid.
     """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
     if estimator == "efficient":
-        cfg = _PathCfg(seed, params.sigma, params.T, n_basis)
-        total, total_sq = _run_blocks(_efficient_block, cfg, reps, workers)
-        return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "efficient-risk")
-    if isinstance(estimator, CylindricalFunctional):
-        cfg = _SteinCfg(
-            seed=seed, sigma=params.sigma, T=params.T, n_basis=n_basis, grid_m=grid_m,
-            n=estimator.n, a=estimator.a, b=estimator.offsets(u, params),
-            risk_ref=cramer_rao_bound(params.sigma, params.T),
-        )
-        total, total_sq = _run_blocks(_stein_block, cfg, reps, workers)[:2]
-        return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "stein-risk")
-    if isinstance(estimator, BayesSpec):
-        if sigma_profile is None:
-            sigma_profile = VolatilityProfile.constant(params.sigma)
-        cfg = _BayesCfg(
-            seed=seed, T=params.T, grid_m=grid_m, spec=estimator,
-            sigma_profile=sigma_profile, params=params,
-            u=None if prior_drift else u,
-        )
-        total, total_sq = _run_blocks(_bayes_block, cfg, reps, workers)
-        return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "bayes-risk")
-    raise ValueError(f"unknown estimator {estimator!r}")
+        worker = partial(_efficient_block, seed=seed, params=params, n_basis=n_basis)
+        label = "efficient-risk"
+    elif isinstance(estimator, CylindricalFunctional):
+        worker = partial(_stein_block, seed=seed, params=params, n_basis=n_basis,
+                         grid_m=grid_m, fnl=estimator, b=estimator.offsets(u, params))
+        label = "stein-risk"
+    elif isinstance(estimator, BayesSpec):
+        worker = partial(_bayes_block, seed=seed, grid_m=grid_m, spec=estimator,
+                         params=params, u=None if prior_drift else u)
+        label = "bayes-risk"
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    return _report(_run_blocks(worker, reps, workers)[0], seed, label)
 
 
 def sample_average_risk(group_size, params, reps, seed, *, n_basis=1024,
@@ -441,11 +420,9 @@ def sample_average_risk(group_size, params, reps, seed, *, n_basis=1024,
     """Risk of the N-sample average path over reps independent groups."""
     if group_size < 1:
         raise ValueError("need group_size >= 1")
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    cfg = _PathCfg(seed, params.sigma, params.T, n_basis, group_size)
-    total, total_sq = _run_blocks(_efficient_block, cfg, reps, workers)
-    return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed,
+    worker = partial(_efficient_block, seed=seed, params=params, n_basis=n_basis,
+                     group=group_size)
+    return _report(_run_blocks(worker, reps, workers)[0], seed,
                    f"average-of-{group_size}-risk")
 
 
@@ -464,50 +441,31 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     grid_m; the correction-forms row integrates the James-Stein norm on
     the grid_m-interval grid, as an independent cross-check.
     """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    cfg = _SteinCfg(
-        seed=seed, sigma=params.sigma, T=params.T, n_basis=n_basis, grid_m=grid_m,
-        n=fnl.n, a=fnl.a, b=fnl.offsets(u, params),
-        risk_ref=cramer_rao_bound(params.sigma, params.T),
-        lambda_scale=lambda_scale,
-    )
-    risk, _, diffs, diffs_sq, grad, grad_sq, chain, forms, corr = _run_blocks(
-        _stein_block, cfg, reps, workers)
-    risk_mean = risk.sum(axis=0) / reps
-    diffs, diffs_sq = diffs.sum(axis=0), diffs_sq.sum(axis=0)
-    grad_total, grad_sq = grad.sum(axis=0), grad_sq.sum(axis=0)
-    chain_max, forms_max = float(chain.max()), float(forms.max())
-    corr_mean = corr.sum(axis=0) / reps
+    worker = partial(_stein_block, seed=seed, params=params, n_basis=n_basis, grid_m=grid_m,
+                     fnl=fnl, b=fnl.offsets(u, params), lambda_scale=lambda_scale)
+    risk, *diffs, grad, chain, forms, corr = _run_blocks(worker, reps, workers)
 
     names = ["unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk", "harmonic-risk"]
     rows = []
-    for i, name in enumerate(names):
+    for name, d in zip(names, diffs):
         if name == "harmonic-risk" and not fnl.is_james_stein:
             continue  # the harmonic form only collapses at a = 2-n
-        d_mean = diffs[i] / reps
-        d_var = max((diffs_sq[i] - reps * d_mean**2) / (reps - 1), 0.0)
-        d_se = math.sqrt(d_var / reps)
         rows.append(IdentityRow(
-            name=name, lhs=risk_mean, rhs=risk_mean - d_mean,
-            paired_stderr=d_se, passed=bool(abs(d_mean) <= 3.0 * d_se),
+            name=name, lhs=risk.mean, rhs=risk.mean - d.mean,
+            paired_stderr=d.stderr, passed=bool(abs(d.mean) <= 3.0 * d.stderr),
         ))
-    rows.append(IdentityRow(
-        name="chain-rule-pathwise", lhs=chain_max, rhs=0.0,
-        paired_stderr=0.0, passed=bool(chain_max <= _PATHWISE_BOUND),
-    ))
+    pathwise = [("chain-rule-pathwise", chain)]
     if fnl.is_james_stein:
+        pathwise.append(("correction-forms-pathwise", forms))
+    for name, dev in pathwise:
         rows.append(IdentityRow(
-            name="correction-forms-pathwise", lhs=forms_max, rhs=0.0,
-            paired_stderr=0.0, passed=bool(forms_max <= _PATHWISE_BOUND),
+            name=name, lhs=dev.peak, rhs=0.0,
+            paired_stderr=0.0, passed=bool(dev.peak <= _PATHWISE_BOUND),
         ))
-    grad_mean = grad_total / reps
-    grad_var = max((grad_sq - reps * grad_mean**2) / (reps - 1), 0.0)
-    grad_se = math.sqrt(grad_var / reps)
-    bias_sq = float(corr_mean @ corr_mean)
+    bias_sq = corr.mean @ corr.mean
     rows.append(IdentityRow(
-        name="bias-bound", lhs=bias_sq, rhs=grad_mean,
-        paired_stderr=grad_se, passed=bool(bias_sq <= grad_mean + 3.0 * grad_se),
+        name="bias-bound", lhs=bias_sq, rhs=grad.mean, paired_stderr=grad.stderr,
+        passed=bool(bias_sq <= grad.mean + 3.0 * grad.stderr),
     ))
     return IdentityReport(rows=tuple(rows), reps=reps, seed=seed, fnl=fnl)
 
@@ -535,14 +493,15 @@ def bias_norm(report: IdentityReport) -> IdentityRow:
     return report.row("bias-bound")
 
 
-def _gain_rho(alpha, sigma, T):
-    # the gain depends on (alpha, sigma, T) only through this ratio
-    return alpha * math.sqrt(2.0 * T) / sigma
-
-
-def _gain_sums(n_max, rho, reps, seed, workers):
-    total, total_sq = _run_blocks(_gain_block, _GainCfg(seed, n_max, rho), reps, workers)
-    return total.sum(axis=0), total_sq.sum(axis=0)
+def _gain_moments(alpha, sigma, T, n_max, reps, seed, workers):
+    """Moments of the gain columns n = 3..n_max; the gain depends on the
+    model (checked here) only through rho = alpha sqrt(2T)/sigma."""
+    if n_max < 3:
+        raise ValueError(f"need n >= 3, got {n_max}")
+    params = ModelParams(sigma=sigma, T=T, alpha=alpha)
+    rho = params.alpha * math.sqrt(2.0 * params.T) / params.sigma
+    worker = partial(_gain_block, seed=seed, n_max=n_max, rho=rho)
+    return _run_blocks(worker, reps, workers)[0]
 
 
 def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
@@ -563,12 +522,8 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
     from x^{-3/2} to x^{-2}, so its variance is log-divergent rather than
     grossly infinite. The n >= 4 replicates, of finite variance, stay raw.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    total, total_sq = _gain_sums(n, _gain_rho(alpha, sigma, T), reps, seed, workers)
-    formula = _report(float(total[-1]), float(total_sq[-1]), reps, seed, "gain-formula")
+    formula = _report(_gain_moments(alpha, sigma, T, n, reps, seed, workers), seed,
+                      "gain-formula", -1)
     risk_difference = None
     if include_risk_difference:
         params = ModelParams(sigma=sigma, T=T, alpha=alpha)
@@ -585,14 +540,10 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
 
 def gain_curve(alpha, sigma, T, n_max, reps, seed, *, workers=1) -> GainCurve:
     """Gain for every n in 3..n_max from one set of replicate draws."""
-    if n_max < 3:
-        raise ValueError(f"need n_max >= 3, got {n_max}")
-    total, total_sq = _gain_sums(n_max, _gain_rho(alpha, sigma, T), reps, seed, workers)
-    rows = []
-    for j, n in enumerate(range(3, n_max + 1)):
-        rep = _report(float(total[j]), float(total_sq[j]), reps, seed, f"gain-n{n}")
-        rows.append(GainPoint(n=n, gain_mean=rep.mean, gain_stderr=rep.stderr))
-    return GainCurve(alpha=alpha, sigma=sigma, T=T, reps=reps, seed=seed, rows=tuple(rows))
+    m = _gain_moments(alpha, sigma, T, n_max, reps, seed, workers)
+    rows = tuple(GainPoint(n=n, gain_mean=float(mean), gain_stderr=float(se))
+                 for n, mean, se in zip(range(3, n_max + 1), m.mean, m.stderr))
+    return GainCurve(alpha=alpha, sigma=sigma, T=T, reps=reps, seed=seed, rows=rows)
 
 
 def optimal_n_search(alpha, sigma, T, n_max, reps, seed, *, workers=1):
@@ -607,11 +558,8 @@ def gain_large_sigma_limit(n, reps, seed, *, workers=1) -> RiskReport:
     Identical to the gain formula with the drift offsets removed, which is
     how it is evaluated here (same streams, rho = 0).
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
-    total, total_sq = _gain_sums(n, 0.0, reps, seed, workers)
-    rep = _report(float(total[-1]), float(total_sq[-1]), reps, seed, "gain-large-sigma-limit")
-    return rep
+    m = _gain_moments(0.0, 1.0, 1.0, n, reps, seed, workers)  # alpha = 0: rho = 0
+    return _report(m, seed, "gain-large-sigma-limit", -1)
 
 
 def universal_constant(reps, seed, *, workers=1) -> RiskReport:
@@ -620,10 +568,8 @@ def universal_constant(reps, seed, *, workers=1) -> RiskReport:
     Equals the large-volatility gain limit at n = 4; the Gaussian
     expectation runs over standard-normal 4-vectors.
     """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    total, total_sq = _run_blocks(_const_block, _ConstCfg(seed), reps, workers)
-    return _report(total.sum(axis=0), total_sq.sum(axis=0), reps, seed, "universal-constant")
+    m = _run_blocks(partial(_const_block, seed=seed), reps, workers)[0]
+    return _report(m, seed, "universal-constant")
 
 
 def gain_small_ratio_asymptote(alpha, sigma, T, n) -> float:
@@ -643,8 +589,8 @@ def gain_small_ratio_asymptote(alpha, sigma, T, n) -> float:
 def asymptotic_gain_check(n, reps, seed, *, alpha=1.0, sigma=1.0, T=1.0,
                           workers=1) -> RiskReport:
     """n pi^2 G / 6 with its stderr; tends to 1 as n grows (G ~ 6/(n pi^2))."""
-    total, total_sq = _gain_sums(n, _gain_rho(alpha, sigma, T), reps, seed, workers)
+    rep = _report(_gain_moments(alpha, sigma, T, n, reps, seed, workers), seed,
+                  "asymptotic-gain-ratio", -1)
     scale = n * math.pi**2 / 6.0
-    rep = _report(float(total[-1]), float(total_sq[-1]), reps, seed, "asymptotic-gain-ratio")
     return RiskReport(mean=scale * rep.mean, stderr=scale * rep.stderr,
                       reps=reps, seed=seed, label="asymptotic-gain-ratio")

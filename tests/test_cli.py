@@ -222,7 +222,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["gain-curve", "--alpha", "inf", "--n-max", "5"],
         ["gain-curve", "--sigma", "nan", "--n-max", "5"],
-        ["constant", "--T=-inf"],
+        ["bayes", "--T=-inf"],
         ["bayes", "--tau", "inf"],
         ["filter", "--v-slope", "nan", "--grid", "32"],
         ["identity-suite", "--a", "nan", "--grid", "32", "--n-basis", "16"],
@@ -250,10 +250,44 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--reps", "--n-basis", "--grid"])
     def test_count_flags_must_be_positive(self, tmp_path, capsys, flag):
-        out = tmp_path / "sim.csv"
-        argv = ["simulate", "--grid", "32", "--n-basis", "16", flag, "-1"]
+        out = tmp_path / "suite.csv"
+        argv = ["identity-suite", "--grid", "32", "--n-basis", "16", flag, "-1"]
         assert run(argv + ["--out", str(out)]) == 1
         assert "not a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gain-curve"],
+        ["gain-surface", "--sigma-range", "1,2"],
+        ["optimal-n"],
+    ])
+    def test_single_replicate_rejected(self, tmp_path, capsys, argv):
+        # a standard error needs two replicates; this was a ZeroDivisionError
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--n-max", "4", "--reps", "1", "--out", str(out)]) == 1
+        assert "need reps >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gain-curve", "--T", "0"],
+        ["gain-curve", "--sigma", "-1"],
+        ["gain-curve", "--sigma", "0"],
+        ["gain-surface", "--T-range", "0,1"],
+    ])
+    def test_gain_model_checked(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--n-max", "4", "--reps", "100", "--out", str(out)]) == 1
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--reps", "100", "--T", "1"],
+        ["gain-curve", "--n-max", "4", "--reps", "100", "--grid", "64"],
+    ])
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
 

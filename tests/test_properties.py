@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (CylindricalFunctional, DriftSpec, ModelParams, gain_curve,
+from driftlab import (BayesSpec, CylindricalFunctional, DriftSpec, ModelParams, gain_curve,
                       identity_suite, mc_risk, noise_stream)
 from driftlab.risk_engine import _BLOCK, _noise_block
 
@@ -75,6 +75,14 @@ def test_results_do_not_depend_on_workers(seed, reps, n_basis):
                     n_basis=n_basis, workers=1)
             == mc_risk("efficient", DriftSpec.linear(1.0), PARAMS, reps, seed,
                        n_basis=n_basis, workers=2))
+    bayes = BayesSpec.centered(1.0)
+    assert (mc_risk(bayes, None, PARAMS, reps, seed, grid_m=64, workers=1)
+            == mc_risk(bayes, None, PARAMS, reps, seed, grid_m=64, workers=2))
+    fnl = CylindricalFunctional(n=n_max, a=float(2 - n_max))
+    assert (identity_suite(fnl, DriftSpec.linear(1.0), PARAMS, reps, seed, grid_m=64,
+                           n_basis=n_basis + n_max, workers=1)
+            == identity_suite(fnl, DriftSpec.linear(1.0), PARAMS, reps, seed, grid_m=64,
+                              n_basis=n_basis + n_max, workers=2))
 
 
 @st.composite

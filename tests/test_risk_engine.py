@@ -286,6 +286,12 @@ class TestGain:
     def test_n_below_three_rejected(self):
         with pytest.raises(ValueError):
             gain(1.0, 1.0, 1.0, 2, 100, 0)
+        with pytest.raises(ValueError, match="need n >= 3"):
+            asymptotic_gain_check(2, 100, 0)
+
+    def test_model_checked(self):
+        with pytest.raises(ValueError, match="T must be positive"):
+            gain_curve(1.0, 1.0, 0.0, 5, 100, 0)
 
     def test_single_gain_equals_curve_column(self):
         est = gain(1.0, 1.0, 1.0, 6, 4_000, 9, include_risk_difference=False)
