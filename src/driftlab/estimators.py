@@ -229,7 +229,7 @@ def scaled_projection(sample: PathSample, u: DriftSpec, n: int) -> EstimateSerie
     basis = SineBasis(params.sigma, params.T, n)
     lam = basis.eigenvalues()
     coeffs = (sample.eta[:n] + drift_inner_products(u, n, params)) / lam
-    values = coeffs @ basis.orthonormal_matrix(sample.grid.points)
+    values = basis.synthesize(coeffs, sample.grid)
     return EstimateSeries(values=values, label="scaled-projection")
 
 
@@ -242,8 +242,7 @@ def stein_correction(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctiona
     """
     c, dn = functional_coefficients(sample, u, fnl)
     params = sample.params
-    e_mat = SineBasis(params.sigma, params.T, fnl.n).orthonormal_matrix(sample.grid.points)
-    values = (fnl.a * c / dn) @ e_mat
+    values = SineBasis(params.sigma, params.T, fnl.n).synthesize(fnl.a * c / dn, sample.grid)
     return EstimateSeries(values=values, label="stein-correction")
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
+from scipy.fft import dst
 
 
 class DegenerateSampleError(RuntimeError):
@@ -217,7 +218,9 @@ class SineBasis:
         dh_k/dt        = (1/sigma) sqrt(2/T) cos((k - 1/2) pi t / T)
 
     so <h_j, h_k> = int dh_j/dt dh_k/dt dt = delta_jk / sigma^2.  The matrix
-    methods take an array of times in [0, T] and return one row per mode.
+    methods take an array of times in [0, T] and return one row per mode;
+    `synthesize` evaluates a combination of modes on a uniform grid without
+    forming that matrix.
     """
 
     sigma: float
@@ -241,6 +244,35 @@ class SineBasis:
     def derivative_matrix(self, t):
         """Rows dh_k/dt (t_i) for k = 1..max_index."""
         return (1.0 / self.sigma) * math.sqrt(2.0 / self.T) * np.cos(self._phases(t))
+
+    def synthesize(self, coef, grid):
+        """Grid values sum_k coef[..., k-1] e_k(t_i), i = 0..M, of any number of modes.
+
+        On the nodes t_i = i T/M the modes are a discrete sine transform:
+        for i = 1..M,
+
+            sum_{k<=K} c_k e_k(t_i) = sqrt(2/T)/2 * DST-II(c zero-padded to M)[i-1],
+
+        and the value at t_0 is 0 exactly.  Mode index j = k-1 >= M aliases
+        onto 0..M-1: the node phases have period 2M in j, and j and 2M-1-j
+        take opposite signs, so such modes are folded in before the one
+        O(M log M) transform.  coef may carry leading batch axes; the
+        number of modes is coef.shape[-1] and is not bounded by M.
+        """
+        if grid.T != self.T:
+            raise ValueError(f"grid horizon {grid.T} differs from the basis horizon {self.T}")
+        coef = np.asarray(coef, dtype=float)
+        m, k = grid.M, coef.shape[-1]
+        if k > m:
+            periods = -(-k // (2 * m))
+            pad = [(0, 0)] * (coef.ndim - 1) + [(0, 2 * m * periods - k)]
+            wrapped = np.pad(coef, pad).reshape(*coef.shape[:-1], periods, 2 * m).sum(axis=-2)
+            coef = wrapped[..., :m] - wrapped[..., :m - 1:-1]
+        out = np.empty(coef.shape[:-1] + (m + 1,))
+        out[..., 0] = 0.0
+        out[..., 1:] = dst(coef, type=2, n=m, axis=-1)
+        out[..., 1:] *= 0.5 * math.sqrt(2.0 / self.T)
+        return out
 
     def _phases(self, t):
         t = np.asarray(t, dtype=float)
@@ -300,15 +332,23 @@ def simulate_noise(seed, replicate, n_basis):
 
 
 def reconstruct_path(eta, grid, params, n_basis=None):
-    """Evaluate the truncated expansion X^u on the grid; X^u_0 = 0 exactly."""
+    """Evaluate the truncated expansion X^u on the grid; X^u_0 = 0 exactly.
+
+    X^u(t_i) = sum_{k<=n_basis} lambda_k eta_k e_k(t_i) is one DST-II of
+    the coefficients lambda * eta (see SineBasis.synthesize), so a
+    replicate costs O(M log M) time and O(M) memory.  n_basis may exceed
+    the grid size M: modes past M alias onto the first M and are folded
+    in.  eta may carry leading batch axes.
+    """
     eta = np.asarray(eta, dtype=float)
     if eta.size == 0:
         raise ValueError("eta must contain at least one coefficient")
     if n_basis is None:
         n_basis = eta.shape[-1]
+    if n_basis > eta.shape[-1]:
+        raise ValueError(f"n_basis={n_basis} exceeds the {eta.shape[-1]} coefficients given")
     basis = SineBasis(params.sigma, params.T, n_basis)
-    coef_to_path = basis.eigenvalues()[:, None] * basis.orthonormal_matrix(grid.points)
-    return eta[..., :n_basis] @ coef_to_path
+    return basis.synthesize(eta[..., :n_basis] * basis.eigenvalues(), grid)
 
 
 @dataclass(frozen=True)
@@ -400,13 +440,9 @@ def stieltjes_cumulative(values, left_weights):
         raise ValueError("need one weight per grid interval")
     out = np.empty_like(values)
     out[..., 0] = 0.0
-    j = 0
-    while j < M:
-        k = j
-        while k + 1 < M and left_weights[k + 1] == left_weights[j]:
-            k += 1
-        w = left_weights[j]
-        seg = values[..., j + 1 : k + 2] - values[..., j : j + 1]
-        out[..., j + 1 : k + 2] = out[..., j : j + 1] + w * seg
-        j = k + 1
+    # run j..k-1 of equal weight covers nodes j+1..k
+    starts = np.flatnonzero(left_weights[1:] != left_weights[:-1]) + 1
+    for j, k in zip([0, *starts.tolist()], [*starts.tolist(), M]):
+        seg = values[..., j + 1 : k + 1] - values[..., j : j + 1]
+        out[..., j + 1 : k + 1] = out[..., j : j + 1] + left_weights[j] * seg
     return out

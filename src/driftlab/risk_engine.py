@@ -321,10 +321,13 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     sig_left = sigma_profile.left_values(grid) * sqdt
     tau_left = spec.tau.left_values(grid) * sqdt
     drift = (spec.v if u is None else u).values(grid.points, params)
+    # m noise increments, then m prior-drift increments when u is drawn;
+    # the streams are prefix-stable, so a fixed drift just draws fewer
+    dim = 2 * m if u is None else m
     risks = np.empty(count)
     for off in range(0, count, _SUB_CHUNK):
         sub = min(_SUB_CHUNK, count - off)
-        draws = _noise_block(seed, start + off, sub, 2 * m)
+        draws = _noise_block(seed, start + off, sub, dim)
         u_vals = drift
         if u is None:
             u_vals = _from_zero(draws[:, m:] * tau_left) + drift
@@ -385,6 +388,14 @@ def _const_block(start, count, *, seed):
 # public operations
 
 
+def _stein_worker(fnl, u, params, seed, n_basis, grid_m, lambda_scale=1.0):
+    # F_{n,a,b} reads the first n coefficients of each replicate
+    if fnl.n > n_basis:
+        raise ValueError(f"functional dimension n={fnl.n} exceeds n_basis={n_basis}")
+    return partial(_stein_block, seed=seed, params=params, n_basis=n_basis, grid_m=grid_m,
+                   fnl=fnl, b=fnl.offsets(u, params), lambda_scale=lambda_scale)
+
+
 def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
             workers=1, prior_drift=True) -> RiskReport:
     """Monte Carlo L^2([0,T], dt) risk of one estimator family.
@@ -403,8 +414,7 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
         worker = partial(_efficient_block, seed=seed, params=params, n_basis=n_basis)
         label = "efficient-risk"
     elif isinstance(estimator, CylindricalFunctional):
-        worker = partial(_stein_block, seed=seed, params=params, n_basis=n_basis,
-                         grid_m=grid_m, fnl=estimator, b=estimator.offsets(u, params))
+        worker = _stein_worker(estimator, u, params, seed, n_basis, grid_m)
         label = "stein-risk"
     elif isinstance(estimator, BayesSpec):
         worker = partial(_bayes_block, seed=seed, grid_m=grid_m, spec=estimator,
@@ -441,8 +451,7 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     grid_m; the correction-forms row integrates the James-Stein norm on
     the grid_m-interval grid, as an independent cross-check.
     """
-    worker = partial(_stein_block, seed=seed, params=params, n_basis=n_basis, grid_m=grid_m,
-                     fnl=fnl, b=fnl.offsets(u, params), lambda_scale=lambda_scale)
+    worker = _stein_worker(fnl, u, params, seed, n_basis, grid_m, lambda_scale)
     risk, *diffs, grad, chain, forms, corr = _run_blocks(worker, reps, workers)
 
     names = ["unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk", "harmonic-risk"]

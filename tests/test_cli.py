@@ -280,6 +280,14 @@ class TestExitCodes:
         assert "must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_functional_wider_than_the_expansion_rejected(self, tmp_path, capsys):
+        # this was a broadcasting error from inside the Stein block
+        out = tmp_path / "x.csv"
+        assert run(["identity-suite", "--n", "40", "--n-basis", "16", "--grid", "32",
+                    "--reps", "100", "--out", str(out)]) == 1
+        assert "n=40 exceeds n_basis=16" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["constant", "--reps", "100", "--T", "1"],
         ["gain-curve", "--n-max", "4", "--reps", "100", "--grid", "64"],

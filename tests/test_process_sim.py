@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
@@ -254,6 +256,25 @@ class TestPathConstruction:
         path = reconstruct_path(eta, grid, PARAMS)
         expected = h_matrix(PARAMS, 3, grid.points)[2]  # sigma = 1: lambda_3 e_3
         np.testing.assert_allclose(path, expected, atol=1e-14)
+
+    def test_projection_builds_no_mode_by_node_matrix(self):
+        # one sine transform of M values: the 1024 x 8193 matrix of the
+        # mode-by-node product would take about 67 MB
+        grid = TimeGrid(8192, 1.0)
+        eta = simulate_noise(5, 0, 1024)
+        tracemalloc.start()
+        try:
+            reconstruct_path(eta, grid, PARAMS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("given", [1, 4])
+    def test_n_basis_beyond_eta_rejected(self, given):
+        # one coefficient would otherwise broadcast across all five modes
+        with pytest.raises(ValueError, match="n_basis"):
+            reconstruct_path(np.ones(given), TimeGrid(16, 1.0), PARAMS, n_basis=5)
 
     def test_simulated_path_fields(self):
         grid = TimeGrid(64, 1.0)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftlab import (BayesSpec, CylindricalFunctional, DriftSpec, ModelParams, gain_curve,
-                      identity_suite, mc_risk, noise_stream)
+from driftlab import (BayesSpec, CylindricalFunctional, DriftSpec, ModelParams, SineBasis,
+                      TimeGrid, gain_curve, identity_suite, mc_risk, noise_stream,
+                      stieltjes_cumulative)
 from driftlab.risk_engine import _BLOCK, _noise_block
 
 U64 = 2**64
@@ -104,3 +105,72 @@ def test_pathwise_rows_hold_to_rounding(fnl, seed, slope):
         expected.add("correction-forms-pathwise")
     assert set(pathwise) == expected
     assert max(pathwise.values()) <= 1e-10
+
+
+@st.composite
+def syntheses(draw):
+    m = draw(st.integers(2, 300))
+    k = draw(st.integers(1, 3 * m))  # k > m: modes past m alias and are folded
+    T = draw(st.floats(0.1, 10.0))
+    sigma = draw(st.floats(0.1, 10.0))
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 2)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    coef = np.random.default_rng(seed).standard_normal(batch + (k,))
+    return SineBasis(sigma, T, k), TimeGrid(m, T), coef
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(syntheses())
+def test_synthesize_is_the_mode_sum(case):
+    basis, grid, coef = case
+    expected = coef @ basis.orthonormal_matrix(grid.points)
+    got = basis.synthesize(coef, grid)
+    assert got.shape == expected.shape
+    assert np.all(got[..., 0] == 0.0)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(syntheses(), st.floats(0.5, 2.0).filter(lambda f: f != 1.0))
+def test_synthesize_rejects_another_horizon(case, factor):
+    basis, grid, coef = case
+    with pytest.raises(ValueError, match="horizon"):
+        basis.synthesize(coef, TimeGrid(grid.M, grid.T * factor))
+
+
+def _scanning_stieltjes(values, left_weights):
+    # the run scan stieltjes_cumulative used before its runs were found in
+    # one vectorised comparison; kept as the bit-for-bit reference
+    M = values.shape[-1] - 1
+    out = np.empty_like(values)
+    out[..., 0] = 0.0
+    j = 0
+    while j < M:
+        k = j
+        while k + 1 < M and left_weights[k + 1] == left_weights[j]:
+            k += 1
+        w = left_weights[j]
+        seg = values[..., j + 1 : k + 2] - values[..., j : j + 1]
+        out[..., j + 1 : k + 2] = out[..., j : j + 1] + w * seg
+        j = k + 1
+    return out
+
+
+@st.composite
+def piecewise_weights(draw):
+    levels = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0, 1.0 / 3.0, 2.0, 0.0, -0.0]),
+                           min_size=1, max_size=8))
+    runs = draw(st.lists(st.integers(1, 12), min_size=len(levels), max_size=len(levels)))
+    batch = draw(st.sampled_from([(), (1,), (4,), (2, 3)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    weights = np.repeat(levels, runs)
+    values = np.random.default_rng(seed).standard_normal(batch + (weights.size + 1,))
+    return values, weights
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(piecewise_weights())
+def test_stieltjes_runs_match_the_scan(case):
+    values, weights = case
+    np.testing.assert_array_equal(stieltjes_cumulative(values, weights),
+                                  _scanning_stieltjes(values, weights))

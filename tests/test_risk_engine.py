@@ -96,6 +96,33 @@ class TestMcRisk:
         )
         assert abs(rep.mean - (variance + bias_sq)) < 3 * rep.stderr
 
+    @pytest.mark.parametrize("prior_drift, dim", [(True, 128), (False, 64)])
+    def test_bayes_draws_only_the_increments_it_reads(self, monkeypatch, prior_drift, dim):
+        # a fixed drift reads the 64 noise increments; a prior drift also
+        # reads 64 drift increments
+        dims = []
+
+        def recording(seed, start, count, d):
+            dims.append(d)
+            return noise_block(seed, start, count, d)
+
+        noise_block = risk_engine._noise_block
+        monkeypatch.setattr(risk_engine, "_noise_block", recording)
+        mc_risk(BayesSpec.centered(1.0), U, PARAMS, 300, 5, grid_m=64,
+                prior_drift=prior_drift)
+        assert dims == [dim, dim]  # two sub-chunks of 256 and 44
+
+    def test_stein_needs_n_basis_at_least_n(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("replicates drawn before the check")
+
+        monkeypatch.setattr(risk_engine, "_noise_block", no_draws)
+        fnl = CylindricalFunctional(n=40, a=-38.0)
+        with pytest.raises(ValueError, match="n=40 exceeds n_basis=16"):
+            mc_risk(fnl, U, PARAMS, 100, 0, grid_m=32, n_basis=16)
+        with pytest.raises(ValueError, match="n=40 exceeds n_basis=16"):
+            identity_suite(fnl, U, PARAMS, 100, 0, grid_m=32, n_basis=16)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             mc_risk("efficient", U, PARAMS, 1, 0)
