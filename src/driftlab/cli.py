@@ -160,14 +160,18 @@ def _model(args):
     return process_sim.ModelParams(sigma=args.sigma, T=args.T, alpha=args.alpha)
 
 
+def _functional(args):
+    # --a defaults to the James-Stein exponent 2 - n
+    a = args.a if args.a is not None else float(2 - args.n)
+    return estimators.CylindricalFunctional(n=args.n, a=a)
+
+
 def _cmd_simulate(args) -> int:
     params = _model(args)
     grid = process_sim.TimeGrid(args.grid, args.T)
     u = process_sim.DriftSpec.linear(args.alpha)
     sample = process_sim.simulate_path(args.seed, 0, u, params, grid, args.n_basis)
-    a = args.a if args.a is not None else float(2 - args.n)
-    fnl = estimators.CylindricalFunctional(n=args.n, a=a)
-    stein = estimators.stein_estimate(sample, u, fnl)
+    stein = estimators.stein_estimate(sample, u, _functional(args))
     rows = zip(grid.points, sample.u, sample.x, sample.xu, stein.values)
     _write_csv(args.out, ["t", "u", "x", "xu", "stein_estimate"], rows)
     _write_plot_script(args.out, "observed path and estimates",
@@ -250,11 +254,9 @@ def _cmd_filter(args) -> int:
 
 def _cmd_identity_suite(args) -> int:
     params = _model(args)
-    a = args.a if args.a is not None else float(2 - args.n)
-    fnl = estimators.CylindricalFunctional(n=args.n, a=a)
     u = process_sim.DriftSpec.linear(args.alpha)
     report = risk_engine.identity_suite(
-        fnl, u, params, args.reps, args.seed, grid_m=args.grid,
+        _functional(args), u, params, args.reps, args.seed, grid_m=args.grid,
         n_basis=args.n_basis, workers=args.workers,
         lambda_scale=args.corrupt_lambda,
     )

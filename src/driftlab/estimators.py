@@ -28,6 +28,7 @@ from .process_sim import (
     TimeGrid,
     VolatilityProfile,
     drift_inner_products,
+    nested_integral,
     stieltjes_cumulative,
 )
 
@@ -144,8 +145,9 @@ def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params)
     telescope segment by segment.  Shared by the Bayes estimator and the
     scalar path filter, which are required to coincide bitwise.
     """
-    sig2 = sigma_profile.left_values(grid) ** 2
-    tau2 = tau_profile.left_values(grid) ** 2
+    lefts = grid.points[:-1]
+    sig2 = sigma_profile.value(lefts) ** 2
+    tau2 = tau_profile.value(lefts) ** 2
     denom = tau2 + sig2
     v_values = v.values(grid.points, params)
     part_v = stieltjes_cumulative(v_values, sig2 / denom)
@@ -163,33 +165,10 @@ def bayes_estimate(sample: PathSample, spec: BayesSpec, sigma_profile=None) -> E
     return EstimateSeries(values=curve, label="bayes")
 
 
-def _merged_segments(tau_profile, sigma_profile, T):
-    edges = sorted({0.0, float(T)} | set(tau_profile.breakpoints) | set(sigma_profile.breakpoints))
-    if edges[0] < 0.0 or edges[-1] > float(T):
-        raise ValueError("profile breakpoints must lie inside (0, T)")
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        yield a, b, float(tau_profile.value(mid)), float(sigma_profile.value(mid))
-
-
-def _nested_integral(tau_profile, sigma_profile, T, integrand):
-    # int_0^T int_0^t g(s) ds dt for g piecewise constant: the inner
-    # cumulative is piecewise linear, so per-segment trapezoids are exact
-    inner = 0.0
-    total = 0.0
-    for a, b, tau, sig in _merged_segments(tau_profile, sigma_profile, T):
-        g = integrand(tau, sig)
-        nxt = inner + g * (b - a)
-        total += 0.5 * (inner + nxt) * (b - a)
-        inner = nxt
-    return total
-
-
 def bayes_risk_closed_form(spec: BayesSpec, sigma_profile, T) -> float:
     """Prior-averaged risk int_0^T int_0^t tau^2 sigma^2 / (tau^2+sigma^2) ds dt."""
-    return _nested_integral(
-        spec.tau, sigma_profile, T,
-        lambda tau, sig: tau**2 * sig**2 / (tau**2 + sig**2),
+    return nested_integral(
+        lambda tau, sig: tau**2 * sig**2 / (tau**2 + sig**2), T, spec.tau, sigma_profile
     )
 
 
@@ -201,9 +180,9 @@ def bayes_mse_decomposition(spec: BayesSpec, u: DriftSpec, sigma_profile, grid, 
     int_0^T | int_0^t sigma^2 (dv/ds - du/ds)/(tau^2+sigma^2) ds |^2 dt
     is computed by composite trapezoid quadrature on the grid.
     """
-    variance = _nested_integral(
-        spec.tau, sigma_profile, params.T,
+    variance = nested_integral(
         lambda tau, sig: tau**4 * sig**2 / (tau**2 + sig**2) ** 2,
+        params.T, spec.tau, sigma_profile,
     )
     t = grid.points
     sig2 = sigma_profile.value(t) ** 2
@@ -252,6 +231,16 @@ def stein_estimate(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional)
     return EstimateSeries(values=sample.x + corr.values, label="stein")
 
 
+def stein_closed_forms(n, a, dn):
+    """(Delta F/F, Delta sqrt(F)/sqrt(F), ||D log F||^2) of F_{n,a,b} at norm Dn.
+
+    Delta F/F = a (n + a - 2) / Dn, Delta sqrt(F)/sqrt(F) = a (n - 2 + a/2) / (2 Dn)
+    and ||D log F||^2_{L^2(dt)} = a^2 / Dn.  dn is a scalar or an array of
+    per-replicate norms.
+    """
+    return a * (n + a - 2) / dn, (a * (n - 2 + a / 2) / 2) / dn, a * a / dn
+
+
 def laplacian_ratios(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional):
     """Scalar closed forms (Delta F / F, Delta sqrt(F) / sqrt(F)).
 
@@ -259,9 +248,7 @@ def laplacian_ratios(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctiona
     Delta sqrt(F)/sqrt(F) = -(n-2)^2 / (4 Dn) is strictly negative.
     """
     _, dn = functional_coefficients(sample, u, fnl)
-    n, a = fnl.n, fnl.a
-    delta_f = a * (n + a - 2) / dn
-    delta_sqrt = (a * (n - 2 + a / 2) / 2) / dn
+    delta_f, delta_sqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
     return delta_f, delta_sqrt
 
 
@@ -276,4 +263,4 @@ def correction_norm_sq(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctio
 def log_gradient_norm_sq(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional) -> float:
     """||D log F||^2_{L^2(dt)} = a^2 / Dn for any exponent a."""
     _, dn = functional_coefficients(sample, u, fnl)
-    return fnl.a**2 / dn
+    return stein_closed_forms(fnl.n, fnl.a, dn)[2]

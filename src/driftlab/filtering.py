@@ -14,7 +14,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import posterior_drift_curve
-from .process_sim import ModelParams
+from .process_sim import ModelParams, profile_segments
 
 _SYM_TOL = 1e-12
 _PSD_TOL = 1e-10
@@ -171,15 +171,9 @@ def posterior_variance_curve(tau_profile, sigma_profile, grid):
     segment contributes its rate times the overlap with [0, t].
     """
     t = grid.points
-    edges = sorted(
-        {0.0, float(grid.T)} | set(tau_profile.breakpoints) | set(sigma_profile.breakpoints)
-    )
     var = np.zeros_like(t)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        tau2 = float(tau_profile.value(mid)) ** 2
-        sig2 = float(sigma_profile.value(mid)) ** 2
-        var += tau2 * sig2 / (tau2 + sig2) * np.clip(t - a, 0.0, b - a)
+    for a, b, (tau, sig) in profile_segments(grid.T, tau_profile, sigma_profile):
+        var += tau**2 * sig**2 / (tau**2 + sig**2) * np.clip(t - a, 0.0, b - a)
     return var
 
 
@@ -217,6 +211,6 @@ def scalar_path_filter(x, v, tau_profile, sigma_profile, grid, params=None):
     """
     if params is None:
         params = ModelParams(sigma=float(sigma_profile.levels[0]), T=grid.T)
-    drift = posterior_drift_curve(x, v, tau_profile, sigma_profile, grid, params)
     variance = posterior_variance_curve(tau_profile, sigma_profile, grid)
+    drift = posterior_drift_curve(x, v, tau_profile, sigma_profile, grid, params)
     return drift, variance

@@ -51,7 +51,9 @@ class VolatilityProfile:
 
     `levels` holds one strictly positive value per segment; `breakpoints`
     holds the interior segment boundaries in strictly increasing order.
-    A single level with no breakpoints is the constant profile.
+    A single level with no breakpoints is the constant profile.  The
+    breakpoints must lie strictly inside (0, T); T is not stored here,
+    so `profile_segments` checks it for the closed forms and the filter.
     """
 
     levels: tuple
@@ -76,26 +78,8 @@ class VolatilityProfile:
         return cls(levels=(float(level),))
 
     @property
-    def kind(self):
-        return "constant" if not self.breakpoints else "piecewise-constant"
-
-    @property
     def is_constant(self):
         return not self.breakpoints
-
-    def segments(self, T):
-        """Yield (start, end, level) triples covering [0, T]."""
-        if self.breakpoints and self.breakpoints[-1] >= T:
-            raise ValueError("breakpoints must lie strictly inside (0, T)")
-        edges = (0.0,) + self.breakpoints + (float(T),)
-        for a, b, lvl in zip(edges[:-1], edges[1:], self.levels):
-            yield a, b, lvl
-
-    def left_values(self, grid):
-        """Level at the left endpoint of each grid interval (length M)."""
-        lefts = grid.points[:-1]
-        idx = np.searchsorted(np.asarray(self.breakpoints), lefts, side="right")
-        return np.asarray(self.levels, dtype=float)[idx]
 
     def value(self, t):
         t = np.asarray(t, dtype=float)
@@ -422,7 +406,39 @@ def observed_coefficient(sample, u, k, params=None, method="identity"):
 
 
 # ---------------------------------------------------------------------------
-# grid integrals shared by the estimators and the filter
+# integrals shared by the estimators, the filter and the risk engine
+
+
+def profile_segments(T, *profiles):
+    """Yield (start, end, levels) covering [0, T], cut at every profile's breakpoints.
+
+    `levels` holds each profile's level on the segment, in argument order,
+    read at the segment midpoint.  Raises ValueError when a breakpoint is
+    not strictly inside (0, T).
+    """
+    T = float(T)
+    if any(p.breakpoints and p.breakpoints[-1] >= T for p in profiles):
+        raise ValueError("breakpoints must lie strictly inside (0, T)")
+    edges = sorted({0.0, T}.union(*(p.breakpoints for p in profiles)))
+    mids = 0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))
+    columns = [p.value(mids).tolist() for p in profiles]
+    for a, b, *levels in zip(edges[:-1], edges[1:], *columns):
+        yield a, b, tuple(levels)
+
+
+def nested_integral(rate, T, *profiles):
+    """int_0^T int_0^t g(s) ds dt for g(s) = rate(levels of the profiles at s).
+
+    g is piecewise constant, so the inner cumulative is piecewise linear
+    and the per-segment trapezoid rule integrates it without error.
+    """
+    inner = 0.0
+    total = 0.0
+    for a, b, levels in profile_segments(T, *profiles):
+        nxt = inner + rate(*levels) * (b - a)
+        total += 0.5 * (inner + nxt) * (b - a)
+        inner = nxt
+    return total
 
 
 def stieltjes_cumulative(values, left_weights):

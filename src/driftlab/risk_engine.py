@@ -15,7 +15,7 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.special import wofz
 
-from .estimators import BayesSpec, CylindricalFunctional, posterior_drift_curve
+from .estimators import BayesSpec, CylindricalFunctional, posterior_drift_curve, stein_closed_forms
 from .process_sim import (
     DegenerateSampleError,
     DriftSpec,
@@ -23,6 +23,7 @@ from .process_sim import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    nested_integral,
     noise_stream,
 )
 
@@ -133,19 +134,11 @@ class IdentityReport:
 def cramer_rao_bound(sigma_profile, T) -> float:
     """Minimax efficient risk R = int_0^T int_0^t sigma_s^2 ds dt.
 
-    Exact piecewise: the inner cumulative is piecewise linear, so the
-    per-segment trapezoid rule integrates it without error.  Constant
-    sigma gives sigma^2 T^2 / 2.
+    Exact piecewise (see nested_integral); constant sigma gives sigma^2 T^2 / 2.
     """
     if not isinstance(sigma_profile, VolatilityProfile):
         sigma_profile = VolatilityProfile.constant(sigma_profile)
-    inner = 0.0
-    total = 0.0
-    for a, b, level in sigma_profile.segments(T):
-        nxt = inner + level**2 * (b - a)
-        total += 0.5 * (inner + nxt) * (b - a)
-        inner = nxt
-    return total
+    return nested_integral(lambda sig: sig**2, T, sigma_profile)
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +244,31 @@ def _report(moments, seed, label, j=()):
 # its settings as keywords bound with functools.partial and returns a tuple
 # of per-replicate arrays, replicate index first.
 
-_SUB_CHUNK = 256  # Bayes replicates integrated at once: bounds the grid arrays
+_SUB_CHUNK = 256  # replicates (groups) drawn at once: bounds a block's arrays
+
+
+def _check_nonzero(denom, start, label):
+    """Raise DegenerateSampleError naming the first replicate of the block
+    starting at start whose denominator is zero."""
+    zero = np.flatnonzero(denom == 0.0)
+    if zero.size:
+        bad = start + int(zero[0])
+        raise DegenerateSampleError(f"zero {label} at replicate {bad}", replicate=bad)
 
 
 def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     # estimate - u = X - u = X^u = sum_k lambda_k eta_k e_k: the drift
     # cancels, and the L^2 risk is the coefficient sum sum_k (lambda_k eta_k)^2.
-    # start/count index groups; group g averages replicates g*group..(g+1)*group-1
-    eta = _noise_block(seed, start * group, count * group, n_basis)
-    eta = eta.reshape(count, group, n_basis).mean(axis=1)
-    coef = eta * SineBasis(params.sigma, params.T, n_basis).eigenvalues()
-    return (np.einsum("ij,ij->i", coef, coef),)
+    # start/count index groups; group g averages replicates g*group..(g+1)*group-1,
+    # and _SUB_CHUNK groups are drawn at a time
+    lam = SineBasis(params.sigma, params.T, n_basis).eigenvalues()
+    risks = np.empty(count)
+    for off in range(0, count, _SUB_CHUNK):
+        sub = min(_SUB_CHUNK, count - off)
+        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis)
+        coef = eta.reshape(sub, group, n_basis).mean(axis=1) * lam
+        risks[off:off + sub] = np.einsum("ij,ij->i", coef, coef)
+    return (risks,)
 
 
 def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_scale=1.0):
@@ -275,20 +282,14 @@ def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_
     lam = SineBasis(sigma, T, n).eigenvalues() * lambda_scale
     c = eta[:, :n] / lam + b
     dn = np.einsum("ij,ij->i", c, c)
-    if np.any(dn == 0.0):
-        bad = start + int(np.nonzero(dn == 0.0)[0][0])
-        raise DegenerateSampleError(
-            f"zero functional denominator at replicate {bad}", replicate=bad
-        )
+    _check_nonzero(dn, start, "functional denominator")
     # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
     corr = (a / dn)[:, None] * c
     err = eta * SineBasis(sigma, T, n_basis).eigenvalues()
     err[:, :n] += corr
     risk = np.einsum("ij,ij->i", err, err)
 
-    delta_f = a * (n + a - 2) / dn
-    delta_sqrt = (a * (n - 2 + a / 2) / 2) / dn
-    grad = a * a / dn
+    delta_f, delta_sqrt, grad = stein_closed_forms(n, a, dn)
     dlog = a * (n - 2) / dn
     r = cramer_rao_bound(sigma, T)
     chain = 4.0 * delta_sqrt - 2.0 * delta_f + grad
@@ -318,8 +319,9 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     qw = _quad_weights(params.T, m)
     sqdt = math.sqrt(grid.dt)
     sigma_profile = VolatilityProfile.constant(params.sigma)
-    sig_left = sigma_profile.left_values(grid) * sqdt
-    tau_left = spec.tau.left_values(grid) * sqdt
+    lefts = grid.points[:-1]
+    sig_left = sigma_profile.value(lefts) * sqdt
+    tau_left = spec.tau.value(lefts) * sqdt
     drift = (spec.v if u is None else u).values(grid.points, params)
     # m noise increments, then m prior-drift increments when u is drawn;
     # the streams are prefix-stable, so a fixed drift just draws fewer
@@ -356,9 +358,7 @@ def _gain_block(start, count, *, seed, n_max, rho):
     r = np.sqrt(terms[:, 1] + terms[:, 2])
     s = np.cumsum(terms, axis=1, out=terms)[:, 2:]  # in place: no extra count x n_max array
     # every denominator, conditioned or raw, is at least r^2
-    if np.any(r == 0.0):
-        bad = start + int(np.nonzero(r == 0.0)[0][0])
-        raise DegenerateSampleError(f"zero gain denominator at replicate {bad}", replicate=bad)
+    _check_nonzero(r, start, "gain denominator")
     g = 2.0 * (np.arange(3, n_max + 1) - 2) ** 2 / s
     g[:, 0] = 2.0 * _conditional_inverse_moment(delta[0], w[0], r)
     return (g,)
@@ -378,9 +378,7 @@ _CONST_WEIGHTS = np.array([1.0, 9.0, 25.0, 49.0])
 def _const_block(start, count, *, seed):
     z = _noise_block(seed, start, count, 4)
     q = (z * z) @ _CONST_WEIGHTS
-    if np.any(q == 0.0):
-        bad = start + int(np.nonzero(q == 0.0)[0][0])
-        raise DegenerateSampleError(f"zero denominator at replicate {bad}", replicate=bad)
+    _check_nonzero(q, start, "denominator")
     return ((32.0 / math.pi**2) / q,)
 
 

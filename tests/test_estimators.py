@@ -26,6 +26,7 @@ from driftlab import (
     stein_correction,
     stein_estimate,
 )
+from driftlab.estimators import stein_closed_forms
 
 import oracles
 
@@ -214,6 +215,14 @@ class TestLaplacianRatios:
                 df, dsqrt = laplacian_ratios(s, U, fnl)
                 grad = log_gradient_norm_sq(s, U, fnl)
                 assert abs(4.0 * dsqrt - (2.0 * df - grad)) < 1e-12
+
+    @pytest.mark.parametrize("n, a", [(4, -2.0), (5, -1.3), (7, 0.5)])
+    def test_closed_forms_take_scalar_or_array_norms(self, n, a):
+        # the risk engine passes a block of norms, the estimators one norm
+        dn = np.random.default_rng(n).exponential(size=50)
+        columns = stein_closed_forms(n, a, dn)
+        for i, d in enumerate(dn.tolist()):
+            assert [col[i] for col in columns] == list(stein_closed_forms(n, a, d))
 
 
 class TestScaledProjection:

@@ -5,17 +5,24 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from driftlab import (
+    BayesSpec,
     DegenerateSampleError,
     DriftSpec,
     ModelParams,
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    bayes_mse_decomposition,
+    bayes_risk_closed_form,
+    cramer_rao_bound,
     drift_inner_products,
     noise_stream,
     observed_coefficient,
     observed_path,
+    posterior_variance_curve,
+    process_sim,
     reconstruct_path,
+    scalar_path_filter,
     simulate_noise,
     simulate_path,
     stieltjes_cumulative,
@@ -68,8 +75,8 @@ class TestModelTypes:
         assert not two.is_constant
         assert float(two.value(0.25)) == 1.0
         assert float(two.value(0.75)) == 3.0
-        segs = list(two.segments(1.0))
-        assert segs == [(0.0, 0.5, 1.0), (0.5, 1.0, 3.0)]
+        segs = list(process_sim.profile_segments(1.0, two))
+        assert segs == [(0.0, 0.5, (1.0,)), (0.5, 1.0, (3.0,))]
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +85,59 @@ class TestModelTypes:
             VolatilityProfile(levels=(1.0, 2.0, 3.0), breakpoints=(0.7, 0.2))
         with pytest.raises(ValueError):
             VolatilityProfile(levels=(1.0,), breakpoints=(0.5,))
+
+
+class TestProfileIntegrals:
+    # two profiles on [0, 1.3] whose breakpoints differ
+    T = 1.3
+    TAU = VolatilityProfile(levels=(0.5, 2.0, 1.25), breakpoints=(0.3, 0.9))
+    SIG = VolatilityProfile(levels=(1.0, 1.5), breakpoints=(0.7,))
+
+    def test_walker_cuts_at_every_breakpoint(self):
+        segs = list(process_sim.profile_segments(self.T, self.TAU, self.SIG))
+        assert segs == [(0.0, 0.3, (0.5, 1.0)), (0.3, 0.7, (2.0, 1.0)),
+                        (0.7, 0.9, (2.0, 1.5)), (0.9, 1.3, (1.25, 1.5))]
+
+    def test_closed_forms_pinned(self):
+        # float.hex values of the per-module segment loops the walker replaced
+        spec = BayesSpec(tau=self.TAU, v=DriftSpec.zero())
+        grid = TimeGrid(8, self.T)
+        params = ModelParams(sigma=1.0, T=self.T)
+        assert cramer_rao_bound(self.SIG, self.T).hex() == "0x1.11eb851eb851fp+0"
+        assert cramer_rao_bound(self.TAU, self.T).hex() == "0x1.e428f5c28f5c5p+0"
+        assert bayes_risk_closed_form(spec, self.SIG, self.T).hex() == "0x1.15e6038f0ece6p-1"
+        variance, _ = bayes_mse_decomposition(spec, DriftSpec.linear(1.0), self.SIG, grid, params)
+        assert variance.hex() == "0x1.5d2d7b17fd124p-2"
+        curve = posterior_variance_curve(self.TAU, self.SIG, grid)
+        assert [float(v).hex() for v in curve] == [
+            "0x0.0p+0", "0x1.0a3d70a3d70a4p-5", "0x1.47ae147ae147cp-4",
+            "0x1.ae147ae147ae3p-3", "0x1.5c28f5c28f5c3p-2", "0x1.15810624dd2f2p-1",
+            "0x1.796d0397a718ep-1", "0x1.c625ab7614363p-1", "0x1.096f29aa40a9dp+0",
+        ]
+
+    @pytest.mark.parametrize("entry", [
+        "cramer_rao_bound", "bayes_risk_closed_form", "bayes_mse_decomposition",
+        "posterior_variance_curve", "scalar_path_filter",
+    ])
+    @pytest.mark.parametrize("breakpoint", [1.0, 1.5])
+    def test_breakpoint_outside_the_horizon_rejected(self, entry, breakpoint):
+        T = 1.0
+        bad = VolatilityProfile(levels=(1.0, 2.0), breakpoints=(breakpoint,))
+        ok = VolatilityProfile.constant(1.0)
+        spec = BayesSpec(tau=ok, v=DriftSpec.zero())
+        grid = TimeGrid(8, T)
+        params = ModelParams(sigma=1.0, T=T)
+        calls = {
+            "cramer_rao_bound": lambda: cramer_rao_bound(bad, T),
+            "bayes_risk_closed_form": lambda: bayes_risk_closed_form(spec, bad, T),
+            "bayes_mse_decomposition": lambda: bayes_mse_decomposition(
+                spec, DriftSpec.zero(), bad, grid, params),
+            "posterior_variance_curve": lambda: posterior_variance_curve(ok, bad, grid),
+            "scalar_path_filter": lambda: scalar_path_filter(
+                grid.points, DriftSpec.zero(), bad, ok, grid, params),
+        }
+        with pytest.raises(ValueError, match=r"strictly inside \(0, T\)"):
+            calls[entry]()
 
 
 class TestBasis:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from driftlab import (
     BayesSpec,
     CylindricalFunctional,
+    DegenerateSampleError,
     DriftSpec,
     GainCurve,
     GainPoint,
@@ -20,6 +23,7 @@ from driftlab import (
     bayes_mse_decomposition,
     bayes_risk_closed_form,
     bias_norm,
+    cli,
     cramer_rao_bound,
     gain,
     gain_curve,
@@ -187,6 +191,60 @@ class TestSampleAverage:
         for group in (4, 25):
             rep = sample_average_risk(group, PARAMS, 8_000, 3, n_basis=64)
             assert abs(rep.mean - theory / group) < 3 * rep.stderr
+
+    def test_group_block_memory_is_bounded(self, monkeypatch):
+        # one 4096-group block of 16 at n_basis 1024 draws 64 Mi normals;
+        # drawn at once they peak at 544 MiB. The peak is set by the shapes
+        # the block asks for, so zeros stand in for the (slow) draws.
+        monkeypatch.setattr(risk_engine, "_noise_block",
+                            lambda seed, start, count, dim: np.zeros((count, dim)))
+        tracemalloc.start()
+        try:
+            risk_engine._efficient_block(0, 4096, seed=1, params=PARAMS, n_basis=1024,
+                                         group=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 2**20
+
+
+class TestDegenerateDenominators:
+    START, ROW = 4096, 5
+
+    @pytest.fixture
+    def zeroed_row(self, monkeypatch):
+        # replicates START + ROW and START + ROW + 3 draw all zeros: every
+        # block's denominator vanishes there (the functional and gain blocks
+        # below have no offsets), and the first one is reported
+        real = risk_engine._noise_block
+        targets = (self.START + self.ROW, self.START + self.ROW + 3)
+
+        def fake(seed, start, count, dim):
+            out = real(seed, start, count, dim)
+            for target in targets:
+                if start <= target < start + count:
+                    out[target - start] = 0.0
+            return out
+
+        monkeypatch.setattr(risk_engine, "_noise_block", fake)
+
+    @pytest.mark.parametrize("block, label", [
+        (partial(risk_engine._stein_block, seed=3, params=PARAMS, n_basis=8, grid_m=16,
+                 fnl=JS4, b=np.zeros(4)), "zero functional denominator"),
+        (partial(risk_engine._gain_block, seed=3, n_max=5, rho=0.0), "zero gain denominator"),
+        (partial(risk_engine._const_block, seed=3), "zero denominator"),
+    ])
+    def test_first_zero_names_its_replicate(self, zeroed_row, block, label):
+        with pytest.raises(DegenerateSampleError) as info:
+            block(self.START, 16)
+        assert info.value.replicate == self.START + self.ROW
+        assert str(info.value) == f"{label} at replicate {self.START + self.ROW}"
+
+    def test_cli_exits_three_without_output(self, zeroed_row, tmp_path, capsys):
+        out = tmp_path / "const.csv"
+        assert cli.main(["constant", "--reps", "5000", "--seed", "3", "--out", str(out)]) == 3
+        assert f"replicate {self.START + self.ROW}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIdentitySuite:
