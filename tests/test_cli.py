@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import shutil
 import subprocess
@@ -198,6 +199,48 @@ class TestOptimalN:
         header, rows = read_rows(out)
         assert header == ["n", "gain_mean", "gain_stderr", "gain_pct"]
         assert [int(r[0]) for r in rows] == list(range(3, 9))
+
+
+# sha256 of each subcommand's CSV and of its plot script with the CSV path
+# replaced by "OUT", at the acceptance criterion-10 sizes
+PINNED_BYTES = {
+    "simulate": (["simulate", "--grid", "256", "--n-basis", "128", "--seed", "11"],
+                 "97e4279102a1f57cd3ab376631fbeb4e86e3b741edc6508044a2862d83e8bd79",
+                 "cea8621d004d376346c4da7088072a457460d92586d4be62aed6945082fc7d77"),
+    "gain-curve": (["gain-curve", "--n-max", "6", "--reps", "4000", "--seed", "11"],
+                   "683c88b069f8bcd520043bbc6edeca8b6f162f6dafa646a93adbda9c9a80e3de",
+                   "bc23931a279fa9526a787cb7a8c45ce55b11306afd8040eab92cc42b6ed16b33"),
+    "gain-surface": (["gain-surface", "--n-max", "4", "--reps", "1500", "--seed", "11",
+                      "--sigma-range", "0.5,1,2"],
+                     "e605f3a001090e7264d8868ef231a802a03c878fd8e9e7177b3a4ec75bef049f",
+                     "25dd116db55645f9735af9bf2ee64d1cf17c09c00b24b63283781ef48d4f39ab"),
+    "constant": (["constant", "--reps", "5000", "--seed", "11"],
+                 "7ad0d9fbf4127bd0650ee73f3497c4abc858c4a15b8317dda4b25a9f523c367b",
+                 "9a496d4f02c0281aa303d55ab6a75f98bee77c53ac36b4c79deb584a7cb763e7"),
+    "bayes": (["bayes", "--tau", "1.0", "--reps", "1500", "--grid", "256", "--seed", "11"],
+              "ace3833e4173254047d1c79204a0089d8a5661777946e2d7e736c9b0bd1ba40a",
+              "4975ef21adb2d1c13ed9620b704368d0e5958c1ca38eb451dfd81ef8da392b76"),
+    "filter": (["filter", "--tau", "1.0", "--grid", "256", "--seed", "11"],
+               "8acd9aa765073bae12a6aef1484b4d6f4694c05c39a171f7fdc937349597a699",
+               "9b09b6b691a6a278dc9a2bf44287221ba0eb77d95e3346c840743847c123111f"),
+    "identity-suite": (["identity-suite", "--n", "4", "--reps", "9000", "--seed", "2",
+                        "--grid", "256", "--n-basis", "64"],
+                       "369bc814c5303b2d4dbc6d7b5019bf7add06573767ad7963f1140ac12835c126",
+                       "a98f3b842641197e1aa6211ffe3c910bc69240b277ea3f70d71997ae7bdec08f"),
+    "optimal-n": (["optimal-n", "--n-max", "6", "--reps", "4000", "--seed", "11"],
+                  "683c88b069f8bcd520043bbc6edeca8b6f162f6dafa646a93adbda9c9a80e3de",
+                  "bc23931a279fa9526a787cb7a8c45ce55b11306afd8040eab92cc42b6ed16b33"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_output_bytes_pinned(tmp_path, name):
+    argv, csv_digest, plot_digest = PINNED_BYTES[name]
+    out = tmp_path / "out.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    plot = (tmp_path / "out.csv.plot.txt").read_text().replace(str(out), "OUT")
+    assert hashlib.sha256(plot.encode("ascii")).hexdigest() == plot_digest
 
 
 class TestExitCodes:
