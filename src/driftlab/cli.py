@@ -92,8 +92,7 @@ _FLAGS = {
 def _build_parser() -> _Parser:
     parser = _Parser(prog="driftlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def command(name, about, flags, **defaults):
+    for name, (_, about, flags, defaults, *_) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=about)
         for flag in flags.split():
             kind, default, text = _FLAGS[flag]
@@ -102,27 +101,13 @@ def _build_parser() -> _Parser:
                 text = f"{text} (default {default:g})"
             p.add_argument(f"--{flag}", type=kind, default=default, help=text)
         p.add_argument("--out", required=True, help="output CSV path")
-        return p
-
-    command("simulate", "one observed path and its shrunk estimate",
-            "alpha sigma T seed n-basis grid workers n a", n=5)
-    command("gain-curve", "gain for n = 3..n-max", "alpha sigma T reps seed workers n-max")
-    p = command("gain-surface", "gain over n and one swept parameter",
-                "alpha sigma T reps seed workers n-max")
-    group = p.add_mutually_exclusive_group(required=True)
+    group = sub.choices["gain-surface"].add_mutually_exclusive_group(required=True)
     group.add_argument("--T-range", type=_float_list, default=None,
                        help="comma-separated horizons to sweep")
     group.add_argument("--sigma-range", type=_float_list, default=None,
                        help="comma-separated volatilities to sweep")
-    command("constant", "the universal limit-gain constant", "reps seed workers")
-    command("bayes", "Bayes risk: closed form vs Monte Carlo",
-            "sigma T reps seed grid workers tau v-slope", reps=20_000)
-    command("filter", "conditional drift and variance of one path",
-            "alpha sigma T seed n-basis grid workers tau v-slope")
-    p = command("identity-suite", "paired closed-form risk identity checks",
-                "alpha sigma T reps seed n-basis grid workers n a")
-    p.add_argument("--corrupt-lambda", type=_finite_float, default=1.0, help=argparse.SUPPRESS)
-    command("optimal-n", "argmax of the gain curve", "alpha sigma T reps seed workers n-max")
+    sub.choices["identity-suite"].add_argument(
+        "--corrupt-lambda", type=_finite_float, default=1.0, help=argparse.SUPPRESS)
     return parser
 
 
@@ -136,20 +121,21 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+def _write(args, rows):
+    """Write rows under the subcommand's CSV header to args.out, and its
+    companion gnuplot script to <out>.plot.txt."""
+    *_, header, title, terms = _SUBCOMMANDS[args.subcommand]
+    out = args.out
+    with open(out, "w", encoding="ascii", newline="") as fh:
+        fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_plot_script(out, title, plot_terms):
     lines = [
         "# companion plot script; render with: gnuplot -p " + out + ".plot.txt",
         'set datafile separator ","',
         "set key autotitle columnhead",
         f'set title "{title}"',
-        "plot " + ", ".join(f'"{out}" using {term}' for term in plot_terms),
+        "plot " + ", ".join(f'"{out}" using {term}' for term in terms),
         "",
     ]
     with open(out + ".plot.txt", "w", encoding="ascii", newline="") as fh:
@@ -166,17 +152,18 @@ def _functional(args):
     return estimators.CylindricalFunctional(n=args.n, a=a)
 
 
-def _cmd_simulate(args) -> int:
+def _path(args):
+    """One observed path of the linear drift alpha t on the --grid grid."""
     params = _model(args)
     grid = process_sim.TimeGrid(args.grid, args.T)
     u = process_sim.DriftSpec.linear(args.alpha)
-    sample = process_sim.simulate_path(args.seed, 0, u, params, grid, args.n_basis)
-    stein = estimators.stein_estimate(sample, u, _functional(args))
-    rows = zip(grid.points, sample.u, sample.x, sample.xu, stein.values)
-    _write_csv(args.out, ["t", "u", "x", "xu", "stein_estimate"], rows)
-    _write_plot_script(args.out, "observed path and estimates",
-                       ["1:2 with lines", "1:3 with lines", "1:5 with lines"])
-    return 0
+    return process_sim.simulate_path(args.seed, 0, u, params, grid, args.n_basis)
+
+
+def _cmd_simulate(args):
+    sample = _path(args)
+    stein = estimators.stein_estimate(sample, sample.drift, _functional(args))
+    _write(args, zip(sample.grid.points, sample.u, sample.x, sample.xu, stein.values))
 
 
 def _gain_rows(curve):
@@ -184,41 +171,32 @@ def _gain_rows(curve):
         yield row.n, row.gain_mean, row.gain_stderr, 100.0 * row.gain_mean
 
 
-def _cmd_gain_curve(args) -> int:
+def _cmd_gain_curve(args):
     curve = risk_engine.gain_curve(args.alpha, args.sigma, args.T, args.n_max,
                                    args.reps, args.seed, workers=args.workers)
-    _write_csv(args.out, ["n", "gain_mean", "gain_stderr", "gain_pct"], _gain_rows(curve))
-    _write_plot_script(args.out, "percentage gain against n",
-                       ["1:4 with linespoints"])
-    return 0
+    _write(args, _gain_rows(curve))
 
 
-def _cmd_gain_surface(args) -> int:
+def _cmd_gain_surface(args):
     sweep_t = args.T_range is not None
-    values = sorted(args.T_range if sweep_t else args.sigma_range)
     rows = []
-    for value in values:
+    for value in sorted(args.T_range if sweep_t else args.sigma_range):
         t_hor = value if sweep_t else args.T
         sigma = args.sigma if sweep_t else value
         curve = risk_engine.gain_curve(args.alpha, sigma, t_hor, args.n_max,
                                        args.reps, args.seed, workers=args.workers)
-        for row in curve.rows:
-            rows.append((row.n, value, row.gain_mean, row.gain_stderr))
+        rows += [(row.n, value, row.gain_mean, row.gain_stderr) for row in curve.rows]
+    # not a no-op when a swept value repeats: its rows are grouped by n
     rows.sort(key=lambda r: (r[1], r[0]))
-    _write_csv(args.out, ["n", "param_value", "gain_mean", "gain_stderr"], rows)
-    _write_plot_script(args.out, "gain surface", ["1:2:3 with points palette"])
-    return 0
+    _write(args, rows)
 
 
-def _cmd_constant(args) -> int:
+def _cmd_constant(args):
     rep = risk_engine.universal_constant(args.reps, args.seed, workers=args.workers)
-    _write_csv(args.out, ["estimate", "stderr", "reps"],
-               [(rep.mean, rep.stderr, rep.reps)])
-    _write_plot_script(args.out, "universal constant", ["0:1 with points"])
-    return 0
+    _write(args, [(rep.mean, rep.stderr, rep.reps)])
 
 
-def _cmd_bayes(args) -> int:
+def _cmd_bayes(args):
     params = process_sim.ModelParams(sigma=args.sigma, T=args.T)  # the slope alpha is unused
     spec = estimators.BayesSpec(
         tau=process_sim.VolatilityProfile.constant(args.tau),
@@ -228,28 +206,18 @@ def _cmd_bayes(args) -> int:
     closed = estimators.bayes_risk_closed_form(spec, sigma_profile, args.T)
     rep = risk_engine.mc_risk(spec, None, params, args.reps, args.seed,
                               grid_m=args.grid, workers=args.workers)
-    _write_csv(args.out, ["closed_form_risk", "mc_risk", "mc_stderr", "reps"],
-               [(closed, rep.mean, rep.stderr, rep.reps)])
-    _write_plot_script(args.out, "Bayes risk check", ["0:1 with points", "0:2 with points"])
-    return 0
+    _write(args, [(closed, rep.mean, rep.stderr, rep.reps)])
 
 
-def _cmd_filter(args) -> int:
-    params = _model(args)
-    grid = process_sim.TimeGrid(args.grid, args.T)
-    u = process_sim.DriftSpec.linear(args.alpha)
-    sample = process_sim.simulate_path(args.seed, 0, u, params, grid, args.n_basis)
+def _cmd_filter(args):
+    sample = _path(args)
     v = process_sim.DriftSpec.linear(args.v_slope)
     tau_profile = process_sim.VolatilityProfile.constant(args.tau)
     sigma_profile = process_sim.VolatilityProfile.constant(args.sigma)
     drift, variance = filtering.scalar_path_filter(
-        sample.x, v, tau_profile, sigma_profile, grid, params
+        sample.x, v, tau_profile, sigma_profile, sample.grid, sample.params
     )
-    rows = zip(grid.points, drift, variance)
-    _write_csv(args.out, ["t", "cond_drift", "cond_variance"], rows)
-    _write_plot_script(args.out, "conditional drift and variance",
-                       ["1:2 with lines", "1:3 with lines"])
-    return 0
+    _write(args, zip(sample.grid.points, drift, variance))
 
 
 def _cmd_identity_suite(args) -> int:
@@ -260,35 +228,55 @@ def _cmd_identity_suite(args) -> int:
         n_basis=args.n_basis, workers=args.workers,
         lambda_scale=args.corrupt_lambda,
     )
-    rows = [(r.name, r.lhs, r.rhs, r.paired_stderr, r.passed) for r in report.rows]
-    _write_csv(args.out, ["name", "lhs", "rhs", "paired_stderr", "pass"], rows)
-    _write_plot_script(args.out, "identity suite", ["2:3 with points"])
+    _write(args, [(r.name, r.lhs, r.rhs, r.paired_stderr, r.passed) for r in report.rows])
     for row in report.rows:
         if not row.passed:
             print(f"driftlab: identity failed: {row.explain()}", file=sys.stderr)
     return 0 if report.all_passed else 4
 
 
-def _cmd_optimal_n(args) -> int:
+def _cmd_optimal_n(args):
     n_opt, curve = risk_engine.optimal_n_search(
         args.alpha, args.sigma, args.T, args.n_max, args.reps, args.seed,
         workers=args.workers,
     )
-    _write_csv(args.out, ["n", "gain_mean", "gain_stderr", "gain_pct"], _gain_rows(curve))
-    _write_plot_script(args.out, "percentage gain against n", ["1:4 with linespoints"])
+    _write(args, _gain_rows(curve))
     print(f"n_opt={n_opt}")
-    return 0
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "gain-curve": _cmd_gain_curve,
-    "gain-surface": _cmd_gain_surface,
-    "constant": _cmd_constant,
-    "bayes": _cmd_bayes,
-    "filter": _cmd_filter,
-    "identity-suite": _cmd_identity_suite,
-    "optimal-n": _cmd_optimal_n,
+_GAIN_TABLE = ("n,gain_mean,gain_stderr,gain_pct", "percentage gain against n",
+               ["1:4 with linespoints"])
+
+# one entry per subcommand: (function, help, the flags it reads, its own
+# defaults, CSV header, plot title, gnuplot terms); gain-surface's range
+# group and identity-suite's hidden flag are added in _build_parser
+_SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, "one observed path and its shrunk estimate",
+                 "alpha sigma T seed n-basis grid workers n a", {"n": 5},
+                 "t,u,x,xu,stein_estimate", "observed path and estimates",
+                 ["1:2 with lines", "1:3 with lines", "1:5 with lines"]),
+    "gain-curve": (_cmd_gain_curve, "gain for n = 3..n-max",
+                   "alpha sigma T reps seed workers n-max", {}, *_GAIN_TABLE),
+    "gain-surface": (_cmd_gain_surface, "gain over n and one swept parameter",
+                     "alpha sigma T reps seed workers n-max", {},
+                     "n,param_value,gain_mean,gain_stderr", "gain surface",
+                     ["1:2:3 with points palette"]),
+    "constant": (_cmd_constant, "the universal limit-gain constant", "reps seed workers", {},
+                 "estimate,stderr,reps", "universal constant", ["0:1 with points"]),
+    "bayes": (_cmd_bayes, "Bayes risk: closed form vs Monte Carlo",
+              "sigma T reps seed grid workers tau v-slope", {"reps": 20_000},
+              "closed_form_risk,mc_risk,mc_stderr,reps", "Bayes risk check",
+              ["0:1 with points", "0:2 with points"]),
+    "filter": (_cmd_filter, "conditional drift and variance of one path",
+               "alpha sigma T seed n-basis grid workers tau v-slope", {},
+               "t,cond_drift,cond_variance", "conditional drift and variance",
+               ["1:2 with lines", "1:3 with lines"]),
+    "identity-suite": (_cmd_identity_suite, "paired closed-form risk identity checks",
+                       "alpha sigma T reps seed n-basis grid workers n a", {},
+                       "name,lhs,rhs,paired_stderr,pass", "identity suite",
+                       ["2:3 with points"]),
+    "optimal-n": (_cmd_optimal_n, "argmax of the gain curve",
+                  "alpha sigma T reps seed workers n-max", {}, *_GAIN_TABLE),
 }
 
 
@@ -296,7 +284,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
+        code = _SUBCOMMANDS[args.subcommand][0](args)
+        return 0 if code is None else code
     except _UsageError as exc:
         print(f"driftlab: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,7 @@ from .process_sim import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    check_breakpoints,
     drift_inner_products,
     nested_integral,
     stieltjes_cumulative,
@@ -143,8 +144,10 @@ def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params)
     Both integrals are left-point Riemann-Stieltjes sums over grid
     increments; the weights are constant on profile segments, so the sums
     telescope segment by segment.  Shared by the Bayes estimator and the
-    scalar path filter, which are required to coincide bitwise.
+    scalar path filter, which are required to coincide bitwise.  Raises
+    ValueError when a profile breakpoint is not strictly inside (0, T).
     """
+    check_breakpoints(grid.T, tau_profile, sigma_profile)
     lefts = grid.points[:-1]
     sig2 = sigma_profile.value(lefts) ** 2
     tau2 = tau_profile.value(lefts) ** 2

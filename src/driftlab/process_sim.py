@@ -53,7 +53,7 @@ class VolatilityProfile:
     holds the interior segment boundaries in strictly increasing order.
     A single level with no breakpoints is the constant profile.  The
     breakpoints must lie strictly inside (0, T); T is not stored here,
-    so `profile_segments` checks it for the closed forms and the filter.
+    so `check_breakpoints` tests it wherever a profile meets a horizon.
     """
 
     levels: tuple
@@ -409,6 +409,12 @@ def observed_coefficient(sample, u, k, params=None, method="identity"):
 # integrals shared by the estimators, the filter and the risk engine
 
 
+def check_breakpoints(T, *profiles):
+    """Raise ValueError unless every profile's breakpoints lie strictly inside (0, T)."""
+    if any(p.breakpoints and p.breakpoints[-1] >= T for p in profiles):
+        raise ValueError("breakpoints must lie strictly inside (0, T)")
+
+
 def profile_segments(T, *profiles):
     """Yield (start, end, levels) covering [0, T], cut at every profile's breakpoints.
 
@@ -417,8 +423,7 @@ def profile_segments(T, *profiles):
     not strictly inside (0, T).
     """
     T = float(T)
-    if any(p.breakpoints and p.breakpoints[-1] >= T for p in profiles):
-        raise ValueError("breakpoints must lie strictly inside (0, T)")
+    check_breakpoints(T, *profiles)
     edges = sorted({0.0, T}.union(*(p.breakpoints for p in profiles)))
     mids = 0.5 * (np.array(edges[:-1]) + np.array(edges[1:]))
     columns = [p.value(mids).tolist() for p in profiles]

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 from scipy.special import wofz
@@ -23,6 +23,7 @@ from .process_sim import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    check_breakpoints,
     nested_integral,
     noise_stream,
 )
@@ -139,24 +140,6 @@ def cramer_rao_bound(sigma_profile, T) -> float:
     if not isinstance(sigma_profile, VolatilityProfile):
         sigma_profile = VolatilityProfile.constant(sigma_profile)
     return nested_integral(lambda sig: sig**2, T, sigma_profile)
-
-
-# ---------------------------------------------------------------------------
-# cached per-process geometry
-
-
-@lru_cache(maxsize=16)
-def _ortho_rows(sigma, T, n, grid_m):
-    mat = SineBasis(sigma, T, n).orthonormal_matrix(TimeGrid(grid_m, T).points)
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=16)
-def _quad_weights(T, grid_m):
-    w = TimeGrid(grid_m, T).trapezoid_weights()
-    w.setflags(write=False)
-    return w
 
 
 def _noise_block(seed, start, count, dim):
@@ -298,8 +281,9 @@ def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_
     if a == 2 - n:
         # James-Stein form -(n-2) proj/||proj||^2, with ||proj||^2 integrated
         # on the grid through the Gram matrix of the first n sine rows
-        e_n = _ortho_rows(sigma, T, n, grid_m)
-        gram = (e_n * _quad_weights(T, grid_m)) @ e_n.T
+        grid = TimeGrid(grid_m, T)
+        e_n = SineBasis(sigma, T, n).orthonormal_matrix(grid.points)
+        gram = (e_n * grid.trapezoid_weights()) @ e_n.T
         norms = np.einsum("ij,ij->i", c @ gram, c)
         js = (-(n - 2) / norms)[:, None] * c
         forms = np.abs(corr - js).max(axis=1)
@@ -316,7 +300,7 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     # u None: the drift is redrawn from the prior each replicate
     m = grid_m
     grid = TimeGrid(m, params.T)
-    qw = _quad_weights(params.T, m)
+    qw = grid.trapezoid_weights()
     sqdt = math.sqrt(grid.dt)
     sigma_profile = VolatilityProfile.constant(params.sigma)
     lefts = grid.points[:-1]
@@ -415,6 +399,7 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
         worker = _stein_worker(estimator, u, params, seed, n_basis, grid_m)
         label = "stein-risk"
     elif isinstance(estimator, BayesSpec):
+        check_breakpoints(params.T, estimator.tau)
         worker = partial(_bayes_block, seed=seed, grid_m=grid_m, spec=estimator,
                          params=params, u=None if prior_drift else u)
         label = "bayes-risk"
@@ -443,12 +428,15 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     side replicate by replicate; they pass when |mean difference| <= 3
     paired stderr.  Pathwise rows bound exact algebraic identities by
     1e-10.  The bias row checks ||E corr||^2 <= E||D log F||^2.
-    lambda_scale != 1 is a fault-injection hook for negative controls.
+    lambda_scale != 1 is a fault-injection hook for negative controls; it
+    must be positive.
 
     The risk and bias rows are coefficient sums and do not depend on
     grid_m; the correction-forms row integrates the James-Stein norm on
     the grid_m-interval grid, as an independent cross-check.
     """
+    if not lambda_scale > 0:
+        raise ValueError(f"lambda_scale must be positive, got {lambda_scale}")
     worker = _stein_worker(fnl, u, params, seed, n_basis, grid_m, lambda_scale)
     risk, *diffs, grad, chain, forms, corr = _run_blocks(worker, reps, workers)
 

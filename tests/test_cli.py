@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestGainSurface:
         keys = [(float(r[1]), int(r[0])) for r in rows]
         assert keys == sorted(keys)
         assert keys == [(0.5, 3), (0.5, 4), (1.0, 3), (1.0, 4)]
+
+    def test_repeated_value_rows_grouped_by_n(self, tmp_path):
+        out = tmp_path / "surf.csv"
+        assert run(["gain-surface", "--n-max", "4", "--reps", "100", "--seed", "1",
+                    "--T-range", "2,2,1", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [(r[1], r[0]) for r in rows] == [
+            ("1", "3"), ("1", "4"), ("2", "3"), ("2", "3"), ("2", "4"), ("2", "4")]
 
     def test_t_slice_matches_gain_curve(self, tmp_path):
         surf = tmp_path / "surf.csv"
@@ -321,6 +330,17 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert run(argv + ["--n-max", "4", "--reps", "100", "--out", str(out)]) == 1
         assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["0", "-1"])
+    def test_non_positive_corrupt_lambda_rejected(self, tmp_path, capsys, scale):
+        # 0 wrote an all-nan table with exit 4 and -1 a passing one with exit 0
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["identity-suite", "--reps", "100", "--grid", "32", "--n-basis", "16",
+                        "--corrupt-lambda", scale, "--out", str(out)]) == 1
+        assert "lambda_scale must be positive" in capsys.readouterr().err
         assert not out.exists()
 
     def test_functional_wider_than_the_expansion_rejected(self, tmp_path, capsys):

@@ -12,16 +12,20 @@ from driftlab import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    bayes_estimate,
     bayes_mse_decomposition,
     bayes_risk_closed_form,
     cramer_rao_bound,
     drift_inner_products,
+    mc_risk,
     noise_stream,
     observed_coefficient,
     observed_path,
+    posterior_drift_curve,
     posterior_variance_curve,
     process_sim,
     reconstruct_path,
+    risk_engine,
     scalar_path_filter,
     simulate_noise,
     simulate_path,
@@ -117,10 +121,14 @@ class TestProfileIntegrals:
 
     @pytest.mark.parametrize("entry", [
         "cramer_rao_bound", "bayes_risk_closed_form", "bayes_mse_decomposition",
-        "posterior_variance_curve", "scalar_path_filter",
+        "posterior_variance_curve", "scalar_path_filter", "posterior_drift_curve",
+        "bayes_estimate", "mc_risk-workers-1", "mc_risk-workers-2",
     ])
     @pytest.mark.parametrize("breakpoint", [1.0, 1.5])
-    def test_breakpoint_outside_the_horizon_rejected(self, entry, breakpoint):
+    def test_breakpoint_outside_the_horizon_rejected(self, monkeypatch, entry, breakpoint):
+        def no_draws(*args):
+            raise AssertionError("a replicate was drawn")
+        monkeypatch.setattr(risk_engine, "_noise_block", no_draws)
         T = 1.0
         bad = VolatilityProfile(levels=(1.0, 2.0), breakpoints=(breakpoint,))
         ok = VolatilityProfile.constant(1.0)
@@ -135,6 +143,16 @@ class TestProfileIntegrals:
             "posterior_variance_curve": lambda: posterior_variance_curve(ok, bad, grid),
             "scalar_path_filter": lambda: scalar_path_filter(
                 grid.points, DriftSpec.zero(), bad, ok, grid, params),
+            "posterior_drift_curve": lambda: posterior_drift_curve(
+                grid.points, DriftSpec.zero(), bad, ok, grid, params),
+            "bayes_estimate": lambda: bayes_estimate(
+                simulate_path(0, 0, DriftSpec.zero(), params, grid, 8),
+                BayesSpec(tau=bad, v=DriftSpec.zero())),
+            "mc_risk-workers-1": lambda: mc_risk(
+                BayesSpec(tau=bad, v=DriftSpec.zero()), None, params, 2, 0, grid_m=8),
+            "mc_risk-workers-2": lambda: mc_risk(
+                BayesSpec(tau=bad, v=DriftSpec.zero()), None, params, 2, 0, grid_m=8,
+                workers=2),
         }
         with pytest.raises(ValueError, match=r"strictly inside \(0, T\)"):
             calls[entry]()
