@@ -153,7 +153,7 @@ def _functional(args):
 
 
 def _path(args):
-    """One observed path of the linear drift alpha t on the --grid grid."""
+    """One observed path of the linear drift alpha * t, on --grid intervals."""
     params = _model(args)
     grid = process_sim.TimeGrid(args.grid, args.T)
     u = process_sim.DriftSpec.linear(args.alpha)
