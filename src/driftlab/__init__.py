@@ -60,6 +60,7 @@ from .risk_engine import (
     cramer_rao_bound,
     gain,
     gain_curve,
+    gain_curves,
     gain_large_sigma_limit,
     gain_small_ratio_asymptote,
     identity_suite,

@@ -179,16 +179,16 @@ def _cmd_gain_curve(args):
 
 def _cmd_gain_surface(args):
     sweep_t = args.T_range is not None
-    rows = []
-    for value in sorted(args.T_range if sweep_t else args.sigma_range):
-        t_hor = value if sweep_t else args.T
-        sigma = args.sigma if sweep_t else value
-        curve = risk_engine.gain_curve(args.alpha, sigma, t_hor, args.n_max,
-                                       args.reps, args.seed, workers=args.workers)
-        rows += [(row.n, value, row.gain_mean, row.gain_stderr) for row in curve.rows]
-    # not a no-op when a swept value repeats: its rows are grouped by n
-    rows.sort(key=lambda r: (r[1], r[0]))
-    _write(args, rows)
+    values = args.T_range if sweep_t else args.sigma_range
+    distinct = sorted(set(values))
+    models = [(args.sigma, v) if sweep_t else (v, args.T) for v in distinct]
+    curves = risk_engine.gain_curves(args.alpha, models, args.n_max, args.reps,
+                                     args.seed, workers=args.workers)
+    # a swept value given twice is run once; its rows are written twice,
+    # grouped by n
+    _write(args, [(row.n, value, row.gain_mean, row.gain_stderr)
+                  for value, curve in zip(distinct, curves)
+                  for row in curve.rows for _ in range(values.count(value))])
 
 
 def _cmd_constant(args):

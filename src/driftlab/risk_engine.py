@@ -30,6 +30,9 @@ from .process_sim import (
 
 # block size fixed: the replicate partition must not depend on workers
 _BLOCK = 4096
+# a pool's unit of work: a multiple of _SUB_CHUNK that divides _BLOCK, so a
+# task's sub-chunks start where the whole block's do
+_TASK = 1024
 
 _PATHWISE_BOUND = 1e-10  # the pathwise rows are exact up to rounding
 
@@ -142,17 +145,22 @@ def cramer_rao_bound(sigma_profile, T) -> float:
     return nested_integral(lambda sig: sig**2, T, sigma_profile)
 
 
-def _noise_block(seed, start, count, dim):
+def _noise_block(seed, start, count, dim, out=None):
     """Rows start..start+count-1 of seed's replicates: row i is
     noise_stream(seed, start + i).standard_normal(dim), bit for bit.
 
     One Generator serves the block. Per replicate its Philox key is set to
     (seed, start + i) by assigning the bit generator's state, which also
     resets the counter and the output buffer, so no stream is built per row.
+    The rows are written into out, a C-contiguous (count, dim) float array,
+    when one is given, and into a new array otherwise.
     """
     if start + count - 1 >= 2**64:
         raise ValueError("replicate index must fit an unsigned 64-bit integer")
-    out = np.empty((count, dim), dtype=float)
+    if out is None:
+        out = np.empty((count, dim), dtype=float)
+    elif out.shape != (count, dim):
+        raise ValueError(f"out has shape {out.shape}, need {(count, dim)}")
     if count == 0:
         return out
     gen = noise_stream(seed, start)
@@ -186,29 +194,42 @@ class _Moments:
         return np.sqrt(var / self.reps)
 
 
-def _block_moments(worker, start, count):
-    # reduced where the block ran: the pool ships three values per column,
-    # never the per-replicate arrays
+def _block_moments(columns):
+    """Sum, sum of squares and largest magnitude of each per-replicate column
+    of one whole block, along its replicate axis."""
     return [(col.sum(axis=0), (col * col).sum(axis=0), np.abs(col).max(axis=0))
-            for col in worker(start, count)]
+            for col in columns]
+
+
+def _joined(done, count):
+    """The columns of the next block of count replicates, joined in replicate
+    order from the results of its tasks."""
+    tasks = [next(done) for _ in range(0, count, _TASK)]
+    return [np.concatenate(col) for col in zip(*tasks)]
 
 
 def _run_blocks(worker, reps, workers):
     """Run worker(start, count) over the fixed blocks and return one _Moments
-    per per-replicate column it returns. Each block is reduced along its
-    replicate axis, and the block partials are added in block order, so the
+    per per-replicate column it returns.
+
+    Serially, each block is one worker call. A pool runs tasks of _TASK
+    replicates instead and ships their per-replicate columns (at most _TASK
+    rows each) to the parent, which joins each block's columns in replicate
+    order. Either way every whole block is reduced along its replicate axis
+    by the same code, and the block partials are added in block order, so the
     result does not depend on the worker count."""
     if reps < 2:
         raise ValueError("need reps >= 2")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     bounds = [(s, min(_BLOCK, reps - s)) for s in range(0, reps, _BLOCK)]
-    reduce_block = partial(_block_moments, worker)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(reduce_block, *zip(*bounds), chunksize=1))
+        tasks = [(s + o, min(_TASK, c - o)) for s, c in bounds for o in range(0, c, _TASK)]
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
+            done = ex.map(worker, *zip(*tasks), chunksize=1)
+            parts = [_block_moments(_joined(done, c)) for _, c in bounds]
     else:
-        parts = [reduce_block(s, c) for s, c in bounds]
+        parts = [_block_moments(worker(s, c)) for s, c in bounds]
     moments = []
     for column in zip(*parts):
         total, total_sq, peak = (np.stack(x) for x in zip(*column))
@@ -246,9 +267,11 @@ def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     # and _SUB_CHUNK groups are drawn at a time
     lam = SineBasis(params.sigma, params.T, n_basis).eigenvalues()
     risks = np.empty(count)
+    buf = np.empty((min(_SUB_CHUNK, count) * group, n_basis))  # every sub-chunk's draws
     for off in range(0, count, _SUB_CHUNK):
         sub = min(_SUB_CHUNK, count - off)
-        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis)
+        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis,
+                           out=buf[:sub * group])
         coef = eta.reshape(sub, group, n_basis).mean(axis=1) * lam
         risks[off:off + sub] = np.einsum("ij,ij->i", coef, coef)
     return (risks,)
@@ -311,9 +334,10 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     # the streams are prefix-stable, so a fixed drift just draws fewer
     dim = 2 * m if u is None else m
     risks = np.empty(count)
+    buf = np.empty((min(_SUB_CHUNK, count), dim))  # every sub-chunk's draws
     for off in range(0, count, _SUB_CHUNK):
         sub = min(_SUB_CHUNK, count - off)
-        draws = _noise_block(seed, start + off, sub, dim)
+        draws = _noise_block(seed, start + off, sub, dim, out=buf[:sub])
         u_vals = drift
         if u is None:
             u_vals = _from_zero(draws[:, m:] * tau_left) + drift
@@ -332,10 +356,15 @@ def _from_zero(inc):
 
 
 def _gain_block(start, count, *, seed, n_max, rho):
+    # one gain column per entry of the tuple rho, all from the same draws
     z = _noise_block(seed, start, count, n_max)
     ell = np.arange(1, n_max + 1)
     w = math.pi * (ell - 0.5)
-    delta = -rho * (-1.0) ** ell
+    return tuple(_gain_column(z, w, -r * (-1.0) ** ell, start) for r in rho)
+
+
+def _gain_column(z, w, delta, start):
+    """Per-replicate gains n = 3..n_max from the draws z at offsets delta."""
     terms = (w * z + delta) ** 2
     # n = 3 is conditioned on coordinates 2 and 3: with Y = w_1 z_1 + delta_1
     # and r^2 = their terms, E[1/(Y^2 + r^2) | r] is a Voigt profile
@@ -343,9 +372,9 @@ def _gain_block(start, count, *, seed, n_max, rho):
     s = np.cumsum(terms, axis=1, out=terms)[:, 2:]  # in place: no extra count x n_max array
     # every denominator, conditioned or raw, is at least r^2
     _check_nonzero(r, start, "gain denominator")
-    g = 2.0 * (np.arange(3, n_max + 1) - 2) ** 2 / s
+    g = 2.0 * (np.arange(3, z.shape[1] + 1) - 2) ** 2 / s
     g[:, 0] = 2.0 * _conditional_inverse_moment(delta[0], w[0], r)
-    return (g,)
+    return g
 
 
 def _conditional_inverse_moment(delta, w, r):
@@ -488,15 +517,18 @@ def bias_norm(report: IdentityReport) -> IdentityRow:
     return report.row("bias-bound")
 
 
-def _gain_moments(alpha, sigma, T, n_max, reps, seed, workers):
-    """Moments of the gain columns n = 3..n_max; the gain depends on the
-    model (checked here) only through rho = alpha sqrt(2T)/sigma."""
+def _gain_moments(alpha, models, n_max, reps, seed, workers):
+    """Moments of the gain columns n = 3..n_max at each (sigma, T) of models,
+    all from one set of draws; the gain depends on the model (checked here)
+    only through rho = alpha sqrt(2T)/sigma."""
     if n_max < 3:
         raise ValueError(f"need n >= 3, got {n_max}")
-    params = ModelParams(sigma=sigma, T=T, alpha=alpha)
-    rho = params.alpha * math.sqrt(2.0 * params.T) / params.sigma
-    worker = partial(_gain_block, seed=seed, n_max=n_max, rho=rho)
-    return _run_blocks(worker, reps, workers)[0]
+    rho = []
+    for sigma, T in models:
+        params = ModelParams(sigma=sigma, T=T, alpha=alpha)
+        rho.append(params.alpha * math.sqrt(2.0 * params.T) / params.sigma)
+    worker = partial(_gain_block, seed=seed, n_max=n_max, rho=tuple(rho))
+    return _run_blocks(worker, reps, workers)
 
 
 def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
@@ -517,7 +549,7 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
     from x^{-3/2} to x^{-2}, so its variance is log-divergent rather than
     grossly infinite. The n >= 4 replicates, of finite variance, stay raw.
     """
-    formula = _report(_gain_moments(alpha, sigma, T, n, reps, seed, workers), seed,
+    formula = _report(_gain_moments(alpha, [(sigma, T)], n, reps, seed, workers)[0], seed,
                       "gain-formula", -1)
     risk_difference = None
     if include_risk_difference:
@@ -535,10 +567,19 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
 
 def gain_curve(alpha, sigma, T, n_max, reps, seed, *, workers=1) -> GainCurve:
     """Gain for every n in 3..n_max from one set of replicate draws."""
-    m = _gain_moments(alpha, sigma, T, n_max, reps, seed, workers)
-    rows = tuple(GainPoint(n=n, gain_mean=float(mean), gain_stderr=float(se))
-                 for n, mean, se in zip(range(3, n_max + 1), m.mean, m.stderr))
-    return GainCurve(alpha=alpha, sigma=sigma, T=T, reps=reps, seed=seed, rows=rows)
+    return gain_curves(alpha, [(sigma, T)], n_max, reps, seed, workers=workers)[0]
+
+
+def gain_curves(alpha, models, n_max, reps, seed, *, workers=1) -> tuple:
+    """The gain_curve of every (sigma, T) in models, in order, from one pass
+    over the replicates: each model's curve is bit for bit its own
+    gain_curve call, but the draws are made once."""
+    curves = []
+    for (sigma, T), m in zip(models, _gain_moments(alpha, models, n_max, reps, seed, workers)):
+        rows = tuple(GainPoint(n=n, gain_mean=float(mean), gain_stderr=float(se))
+                     for n, mean, se in zip(range(3, n_max + 1), m.mean, m.stderr))
+        curves.append(GainCurve(alpha=alpha, sigma=sigma, T=T, reps=reps, seed=seed, rows=rows))
+    return tuple(curves)
 
 
 def optimal_n_search(alpha, sigma, T, n_max, reps, seed, *, workers=1):
@@ -553,7 +594,7 @@ def gain_large_sigma_limit(n, reps, seed, *, workers=1) -> RiskReport:
     Identical to the gain formula with the drift offsets removed, which is
     how it is evaluated here (same streams, rho = 0).
     """
-    m = _gain_moments(0.0, 1.0, 1.0, n, reps, seed, workers)  # alpha = 0: rho = 0
+    m = _gain_moments(0.0, [(1.0, 1.0)], n, reps, seed, workers)[0]  # alpha = 0: rho = 0
     return _report(m, seed, "gain-large-sigma-limit", -1)
 
 
@@ -584,7 +625,7 @@ def gain_small_ratio_asymptote(alpha, sigma, T, n) -> float:
 def asymptotic_gain_check(n, reps, seed, *, alpha=1.0, sigma=1.0, T=1.0,
                           workers=1) -> RiskReport:
     """n pi^2 G / 6 with its stderr; tends to 1 as n grows (G ~ 6/(n pi^2))."""
-    rep = _report(_gain_moments(alpha, sigma, T, n, reps, seed, workers), seed,
+    rep = _report(_gain_moments(alpha, [(sigma, T)], n, reps, seed, workers)[0], seed,
                   "asymptotic-gain-ratio", -1)
     scale = n * math.pi**2 / 6.0
     return RiskReport(mean=scale * rep.mean, stderr=scale * rep.stderr,

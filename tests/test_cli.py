@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from driftlab import cli
+from driftlab import ModelParams, cli, sample_average_risk
 
 
 def run(argv):
@@ -250,6 +250,34 @@ def test_output_bytes_pinned(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
     plot = (tmp_path / "out.csv.plot.txt").read_text().replace(str(out), "OUT")
     assert hashlib.sha256(plot.encode("ascii")).hexdigest() == plot_digest
+
+
+# one block split into tasks, an odd replicate count, a repeated swept value
+WORKER_ARGV = {
+    "bayes": ["bayes", "--tau", "1", "--reps", "4096", "--grid", "128", "--seed", "21"],
+    "constant": ["constant", "--reps", "5001", "--seed", "22"],
+    "gain-surface": ["gain-surface", "--n-max", "5", "--reps", "5000", "--seed", "23",
+                     "--T-range", "2,2,1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKER_ARGV))
+def test_output_bytes_do_not_depend_on_workers(tmp_path, name):
+    csvs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"workers-{workers}.csv"
+        assert run(WORKER_ARGV[name] + ["--workers", workers, "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
+
+def test_sample_average_risk_does_not_depend_on_workers():
+    # 4396 groups of 16: a whole block and a partial one
+    params = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
+    reports = [sample_average_risk(16, params, 4396, 24, n_basis=32, workers=workers)
+               for workers in (1, 2, 3)]
+    bits = [(rep.mean.hex(), rep.stderr.hex()) for rep in reports]
+    assert bits[1] == bits[0] and bits[2] == bits[0]
 
 
 class TestExitCodes:

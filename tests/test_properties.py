@@ -55,6 +55,23 @@ def test_noise_block_splits_anywhere(block, data):
                         _noise_block(seed, start + cut, count - cut, dim)]))
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(noise_blocks(), st.integers(0, 3))
+def test_noise_block_fills_a_given_buffer(block, spare):
+    # the blocks draw each sub-chunk into the head of one buffer
+    seed, start, count, dim = block
+    buf = np.full((count + spare, dim), np.nan)
+    out = _noise_block(seed, start, count, dim, out=buf[:count])
+    assert np.shares_memory(out, buf)
+    np.testing.assert_array_equal(out, _noise_block(seed, start, count, dim))
+    assert np.isnan(buf[count:]).all()
+
+
+def test_noise_block_rejects_a_buffer_of_another_shape():
+    with pytest.raises(ValueError, match="shape"):
+        _noise_block(1, 0, 3, 4, out=np.empty((4, 4)))
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.integers(0, U64 - 1), st.integers(2, 6), st.integers(1, 5), st.integers(0, 4))
 def test_noise_block_past_the_last_key_rejected(seed, count, over, back):

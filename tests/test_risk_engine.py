@@ -50,6 +50,13 @@ U = DriftSpec.linear(1.0)
 JS4 = CylindricalFunctional(n=4, a=-2.0)
 
 
+def zero_draws(seed, start, count, dim, out=None):
+    """Stand-in for _noise_block that writes zeros where the draws would go."""
+    out = np.empty((count, dim)) if out is None else out
+    out[...] = 0.0
+    return out
+
+
 def truncated_efficient_risk(n_basis, params=PARAMS):
     lam = SineBasis(params.sigma, params.T, n_basis).eigenvalues()
     return float(np.sum(lam * lam))
@@ -106,9 +113,9 @@ class TestMcRisk:
         # reads 64 drift increments
         dims = []
 
-        def recording(seed, start, count, d):
+        def recording(seed, start, count, d, out=None):
             dims.append(d)
-            return noise_block(seed, start, count, d)
+            return noise_block(seed, start, count, d, out=out)
 
         noise_block = risk_engine._noise_block
         monkeypatch.setattr(risk_engine, "_noise_block", recording)
@@ -196,8 +203,7 @@ class TestSampleAverage:
         # one 4096-group block of 16 at n_basis 1024 draws 64 Mi normals;
         # drawn at once they peak at 544 MiB. The peak is set by the shapes
         # the block asks for, so zeros stand in for the (slow) draws.
-        monkeypatch.setattr(risk_engine, "_noise_block",
-                            lambda seed, start, count, dim: np.zeros((count, dim)))
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
             risk_engine._efficient_block(0, 4096, seed=1, params=PARAMS, n_basis=1024,
@@ -206,6 +212,135 @@ class TestSampleAverage:
         finally:
             tracemalloc.stop()
         assert peak < 80 * 2**20
+
+
+class TestDrawBuffer:
+    def test_group_block_draws_into_one_buffer(self, monkeypatch):
+        # the 32 MiB sub-chunk of draws is the one buffer every sub-chunk
+        # reuses; with the previous draws alive while the next were made the
+        # same block peaked at 66 MiB
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
+        tracemalloc.start()
+        try:
+            risk_engine._efficient_block(0, 4096, seed=1, params=PARAMS, n_basis=1024,
+                                         group=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("block", [
+        partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=8, group=3),
+        partial(risk_engine._bayes_block, seed=1, grid_m=16, spec=BayesSpec.centered(1.0),
+                params=PARAMS, u=None),
+    ], ids=["efficient", "bayes"])
+    def test_sub_chunks_share_one_buffer(self, monkeypatch, block):
+        outs = []
+
+        def recording(seed, start, count, dim, out=None):
+            outs.append(out)
+            return noise_block(seed, start, count, dim, out=out)
+
+        noise_block = risk_engine._noise_block
+        monkeypatch.setattr(risk_engine, "_noise_block", recording)
+        block(0, 600)  # sub-chunks of 256, 256 and 88
+        assert len(outs) == 3
+        assert all(out is not None and np.shares_memory(out, outs[0]) for out in outs)
+
+
+def stein_worker(fnl, lambda_scale=1.0):
+    return risk_engine._stein_worker(fnl, U, PARAMS, 5, 16, 32, lambda_scale)
+
+
+class TestTaskSplit:
+    """A pool runs each block as tasks of _TASK replicates and joins their
+    columns in the parent, so every block worker must give the same rows,
+    byte for byte, however its replicates are split."""
+
+    def test_tasks_keep_the_sub_chunk_boundaries(self):
+        assert risk_engine._BLOCK % risk_engine._TASK == 0
+        assert risk_engine._TASK % risk_engine._SUB_CHUNK == 0
+
+    @pytest.mark.parametrize("worker", [
+        partial(risk_engine._efficient_block, seed=5, params=PARAMS, n_basis=8),
+        partial(risk_engine._efficient_block, seed=5, params=PARAMS, n_basis=8, group=16),
+        stein_worker(JS4),
+        stein_worker(CylindricalFunctional(n=5, a=-1.5)),
+        stein_worker(JS4, lambda_scale=1.05),
+        partial(risk_engine._bayes_block, seed=5, grid_m=16, spec=BayesSpec.centered(1.0),
+                params=PARAMS, u=None),
+        partial(risk_engine._bayes_block, seed=5, grid_m=16, spec=BayesSpec.centered(1.0),
+                params=PARAMS, u=U),
+        partial(risk_engine._gain_block, seed=5, n_max=7, rho=(0.0, 1.0, 2.5, 1.0)),
+        partial(risk_engine._const_block, seed=5),
+    ], ids=["efficient", "efficient-group-16", "stein-james-stein", "stein-general",
+            "stein-corrupted", "bayes-prior-drift", "bayes-fixed-drift", "gain", "const"])
+    def test_rows_do_not_depend_on_the_split(self, worker):
+        start, count = 4096, 4096 + 300  # four whole tasks and a partial one
+        whole = worker(start, count)
+        tasks = [worker(start + off, min(risk_engine._TASK, count - off))
+                 for off in range(0, count, risk_engine._TASK)]
+        assert len(tasks) == 5 and len(tasks[-1][0]) == 300
+        assert len(whole) == len(tasks[0])
+        for column, parts in zip(whole, zip(*tasks)):
+            joined = np.concatenate(parts)
+            assert column.shape == joined.shape
+            assert column.tobytes() == joined.tobytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the engine's process pool by a recorder that runs each task in
+    this process; returns the list of pools made."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = []
+            made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, *iterables, chunksize=1):
+            self.tasks = list(zip(*iterables))
+            return (fn(*task) for task in self.tasks)
+
+    monkeypatch.setattr(risk_engine, "ProcessPoolExecutor", RecordingPool)
+    return made
+
+
+class TestPool:
+    @pytest.mark.parametrize("reps, workers, tasks", [
+        (1000, 8, [(0, 1000)]),
+        (4096, 8, [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024)]),
+        (4396, 3, [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 300)]),
+    ])
+    def test_pool_capped_at_the_task_count(self, pools, reps, workers, tasks):
+        rep = universal_constant(reps, 7, workers=workers)
+        assert [(pool.max_workers, pool.tasks) for pool in pools] == [
+            (min(workers, len(tasks)), tasks)]
+        assert rep == universal_constant(reps, 7)
+        assert len(pools) == 1  # the serial run made none
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--grid", "64", "--n-basis", "32"],
+        ["filter", "--grid", "64"],
+        ["gain-curve", "--n-max", "5", "--reps", "5000"],
+        ["gain-surface", "--n-max", "5", "--reps", "5000", "--sigma-range", "0.5,1,2,4"],
+        ["constant", "--reps", "5000"],
+        ["bayes", "--reps", "5000", "--grid", "16"],
+        ["identity-suite", "--reps", "5000", "--grid", "32", "--n-basis", "16"],
+        ["optimal-n", "--n-max", "5", "--reps", "5000"],
+    ], ids=lambda argv: argv[0])
+    def test_each_subcommand_opens_at_most_one_pool(self, pools, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        assert cli.main(argv + ["--workers", "3", "--out", str(out)]) == 0
+        assert len(pools) == (argv[0] not in ("simulate", "filter"))
 
 
 class TestDegenerateDenominators:
@@ -231,7 +366,7 @@ class TestDegenerateDenominators:
     @pytest.mark.parametrize("block, label", [
         (partial(risk_engine._stein_block, seed=3, params=PARAMS, n_basis=8, grid_m=16,
                  fnl=JS4, b=np.zeros(4)), "zero functional denominator"),
-        (partial(risk_engine._gain_block, seed=3, n_max=5, rho=0.0), "zero gain denominator"),
+        (partial(risk_engine._gain_block, seed=3, n_max=5, rho=(0.0,)), "zero gain denominator"),
         (partial(risk_engine._const_block, seed=3), "zero denominator"),
     ])
     def test_first_zero_names_its_replicate(self, zeroed_row, block, label):
