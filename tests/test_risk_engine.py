@@ -27,6 +27,7 @@ from driftlab import (
     cramer_rao_bound,
     gain,
     gain_curve,
+    gain_curves,
     gain_large_sigma_limit,
     gain_small_ratio_asymptote,
     identity_suite,
@@ -528,6 +529,12 @@ class TestGainCurve:
         for row in curve.rows:
             ref = oracles.FROZEN_GAIN_UNIT[row.n]
             assert abs(row.gain_mean - ref) < 4 * row.gain_stderr
+
+    def test_one_pass_gives_each_model_its_own_curve(self):
+        # one set of draws for every model, bit for bit one gain_curve each
+        models = [(1.0, 2.0), (0.5, 1.0), (1.0, 2.0), (3.0, 0.25)]
+        curves = gain_curves(1.5, models, 6, 5000, 9)
+        assert curves == tuple(gain_curve(1.5, sigma, T, 6, 5000, 9) for sigma, T in models)
 
     def test_all_gains_positive(self):
         curve = gain_curve(1.0, 1.0, 1.0, 10, 20_000, 3)
