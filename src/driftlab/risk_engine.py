@@ -7,6 +7,7 @@ from (seed, reps, grid, n_basis) regardless of the worker count.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -145,16 +146,73 @@ def cramer_rao_bound(sigma_profile, T) -> float:
     return nested_integral(lambda sig: sig**2, T, sigma_profile)
 
 
+class _PhiloxHead(ctypes.Structure):
+    # the leading fields of NumPy's philox_state, at bit_generator.ctypes.state_address
+    _fields_ = [("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
+
+
+_Counter = ctypes.c_uint64 * 4
+_Key = ctypes.c_uint64 * 2
+
+
+def _at(ctype, addr):
+    """A ctypes view of the memory at addr; every read of a bit generator's
+    state goes through here."""
+    return ctype.from_address(addr)
+
+
+def _philox_words(bg, seed, start):
+    """Views of the words that re-key bg for another replicate: key[1], the
+    counter and the head holding buffer_pos. bg must be a fresh Philox keyed
+    by (seed, start).
+
+    The views rely on NumPy's private philox_state layout, so it is checked
+    first, and None is returned when any check fails. The state address and
+    both pointers in it must lie inside the bit generator object, checked
+    before each is read. The key read through them must be (seed, start),
+    with a zero counter and an empty buffer (buffer_pos 4). And a write
+    through the views must read back through bg.state as that counter and
+    buffer_pos; the written words are then restored.
+    """
+    if not isinstance(bg, np.random.Philox):
+        return None
+    lo = id(bg)
+    hi = lo + type(bg).__basicsize__
+
+    def inside(addr, ctype):
+        return addr is not None and lo <= addr <= hi - ctypes.sizeof(ctype)
+
+    addr = bg.ctypes.state_address
+    if not inside(addr, _PhiloxHead):
+        return None
+    head = _at(_PhiloxHead, addr)
+    if not (inside(head.ctr, _Counter) and inside(head.key, _Key)):
+        return None
+    ctr, key = _at(_Counter, head.ctr), _at(_Key, head.key)
+    if tuple(key) != (seed, start) or any(ctr) or head.buffer_pos != 4:
+        return None
+    ctr[:], head.buffer_pos = (1, 2, 3, 4), 1
+    state = bg.state
+    ctr[:], head.buffer_pos = (0, 0, 0, 0), 4
+    if state["state"]["counter"].tolist() != [1, 2, 3, 4] or state["buffer_pos"] != 1:
+        return None
+    return _at(ctypes.c_uint64, head.key + 8), ctr, head
+
+
 def _noise_block(seed, start, count, dim, out=None):
     """Rows start..start+count-1 of seed's replicates: row i is
     noise_stream(seed, start + i).standard_normal(dim), bit for bit.
 
-    One Generator serves the block. Per replicate its Philox key is set to
-    (seed, start + i) by assigning the bit generator's state, which also
-    resets the counter and the output buffer, so no stream is built per row.
-    The rows are written into out, a C-contiguous (count, dim) float array,
-    when one is given, and into a new array otherwise.
+    One Generator serves the block. Per replicate its Philox is re-keyed in
+    place: key[1] is set to start + i, the four counter words to zero and
+    buffer_pos to 4 (empty buffer), through the views _philox_words finds
+    once per block. That is the state of a fresh noise_stream(seed, start + i),
+    so no stream is built per row. When the layout check declines, each row
+    is re-keyed by assigning the bit generator's state dict instead: slower,
+    the same bits. The rows are written into out, a C-contiguous (count, dim)
+    float array, when one is given, and into a new array otherwise.
     """
+    # before any write: a c_uint64 key word would wrap silently
     if start + count - 1 >= 2**64:
         raise ValueError("replicate index must fit an unsigned 64-bit integer")
     if out is None:
@@ -164,12 +222,23 @@ def _noise_block(seed, start, count, dim, out=None):
     if count == 0:
         return out
     gen = noise_stream(seed, start)
-    state = gen.bit_generator.state
-    key = state["state"]["key"]
+    # a tuple size skips NumPy's slower check of an int size against out
+    normal, shape = gen.standard_normal, (dim,)
+    words = _philox_words(gen.bit_generator, seed, start)
+    if words is None:  # another layout: the state dict, the same bits
+        state = gen.bit_generator.state
+        key = state["state"]["key"]
+        for i in range(count):
+            key[1] = start + i
+            gen.bit_generator.state = state
+            normal(shape, out=out[i])
+        return out
+    key1, ctr, head = words
     for i in range(count):
-        key[1] = start + i
-        gen.bit_generator.state = state
-        gen.standard_normal(dim, out=out[i])
+        key1.value = start + i
+        ctr[:] = (0, 0, 0, 0)
+        head.buffer_pos = 4
+        normal(shape, out=out[i])
     return out
 
 
@@ -334,25 +403,35 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     # the streams are prefix-stable, so a fixed drift just draws fewer
     dim = 2 * m if u is None else m
     risks = np.empty(count)
-    buf = np.empty((min(_SUB_CHUNK, count), dim))  # every sub-chunk's draws
+    rows = min(_SUB_CHUNK, count)
+    # every sub-chunk's draws and paths, allocated once per call
+    buf, x_buf = np.empty((rows, dim)), np.empty((rows, m + 1))
+    u_buf = np.empty((rows, m + 1)) if u is None else None
     for off in range(0, count, _SUB_CHUNK):
         sub = min(_SUB_CHUNK, count - off)
         draws = _noise_block(seed, start + off, sub, dim, out=buf[:sub])
         u_vals = drift
         if u is None:
-            u_vals = _from_zero(draws[:, m:] * tau_left) + drift
+            u_vals = _from_zero(draws[:, m:], tau_left, u_buf[:sub])
+            u_vals += drift
         # the martingale part is built from grid increments here (exact in
         # distribution at the nodes), so no basis truncation enters
-        x = _from_zero(draws[:, :m] * sig_left) + u_vals
-        xi = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params)
-        err = xi - u_vals
-        risks[off:off + sub] = (err * err) @ qw
+        x = _from_zero(draws[:, :m], sig_left, x_buf[:sub])
+        x += u_vals
+        err = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params)
+        err -= u_vals  # in place: the curve is a fresh array
+        err *= err
+        risks[off:off + sub] = err @ qw
     return (risks,)
 
 
-def _from_zero(inc):
-    """Node values of paths that start at 0 and have the given grid increments."""
-    return np.concatenate([np.zeros((inc.shape[0], 1)), np.cumsum(inc, axis=1)], axis=1)
+def _from_zero(inc, scale, out):
+    """Node values, into out, of paths that start at 0 and have the grid
+    increments inc * scale; inc is scaled in place."""
+    inc *= scale
+    out[:, 0] = 0.0
+    np.cumsum(inc, axis=1, out=out[:, 1:])
+    return out
 
 
 def _gain_block(start, count, *, seed, n_max, rho):

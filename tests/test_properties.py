@@ -1,5 +1,7 @@
 """Property tests over random inputs; derandomized, so every run draws the same cases."""
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +10,24 @@ from hypothesis import strategies as st
 from driftlab import (BayesSpec, CylindricalFunctional, DriftSpec, ModelParams, SineBasis,
                       TimeGrid, gain_curve, identity_suite, mc_risk, noise_stream,
                       stieltjes_cumulative)
+from driftlab import risk_engine
 from driftlab.risk_engine import _BLOCK, _noise_block
 
 U64 = 2**64
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
+
+# _noise_block re-keys through Philox's state words when the layout probe
+# accepts them and through the state dict when it declines; both must give
+# the stream loop's bits
+REKEY_PATHS = pytest.mark.parametrize("rekey", ["pointer", "state-dict"])
+
+
+@contextmanager
+def rekeyed(path):
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "state-dict":
+            mp.setattr(risk_engine, "_philox_words", lambda bg, seed, start: None)
+        yield
 
 
 @st.composite
@@ -24,47 +40,55 @@ def noise_blocks(draw):
     return seed, start, count, dim
 
 
+@REKEY_PATHS
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(noise_blocks())
-def test_noise_block_is_the_stream_loop(block):
+def test_noise_block_is_the_stream_loop(rekey, block):
     # noise_stream defines a replicate's draws; a block must reproduce them
-    seed, start, count, dim = block
-    expected = np.array([noise_stream(seed, start + i).standard_normal(dim)
-                         for i in range(count)])
-    np.testing.assert_array_equal(_noise_block(seed, start, count, dim), expected)
+    with rekeyed(rekey):
+        seed, start, count, dim = block
+        expected = np.array([noise_stream(seed, start + i).standard_normal(dim)
+                             for i in range(count)])
+        np.testing.assert_array_equal(_noise_block(seed, start, count, dim), expected)
 
 
+@REKEY_PATHS
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(noise_blocks(), st.integers(1, 12))
-def test_noise_block_prefix_is_stable(block, wider):
+def test_noise_block_prefix_is_stable(rekey, block, wider):
     # a replicate's first d0 draws do not depend on how many more follow
-    seed, start, count, dim = block
-    np.testing.assert_array_equal(
-        _noise_block(seed, start, count, dim + wider)[:, :dim],
-        _noise_block(seed, start, count, dim))
+    with rekeyed(rekey):
+        seed, start, count, dim = block
+        np.testing.assert_array_equal(
+            _noise_block(seed, start, count, dim + wider)[:, :dim],
+            _noise_block(seed, start, count, dim))
 
 
+@REKEY_PATHS
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(noise_blocks(), st.data())
-def test_noise_block_splits_anywhere(block, data):
-    seed, start, count, dim = block
-    cut = data.draw(st.integers(0, count))
-    np.testing.assert_array_equal(
-        _noise_block(seed, start, count, dim),
-        np.concatenate([_noise_block(seed, start, cut, dim),
-                        _noise_block(seed, start + cut, count - cut, dim)]))
+def test_noise_block_splits_anywhere(rekey, block, data):
+    with rekeyed(rekey):
+        seed, start, count, dim = block
+        cut = data.draw(st.integers(0, count))
+        np.testing.assert_array_equal(
+            _noise_block(seed, start, count, dim),
+            np.concatenate([_noise_block(seed, start, cut, dim),
+                            _noise_block(seed, start + cut, count - cut, dim)]))
 
 
+@REKEY_PATHS
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(noise_blocks(), st.integers(0, 3))
-def test_noise_block_fills_a_given_buffer(block, spare):
+def test_noise_block_fills_a_given_buffer(rekey, block, spare):
     # the blocks draw each sub-chunk into the head of one buffer
-    seed, start, count, dim = block
-    buf = np.full((count + spare, dim), np.nan)
-    out = _noise_block(seed, start, count, dim, out=buf[:count])
-    assert np.shares_memory(out, buf)
-    np.testing.assert_array_equal(out, _noise_block(seed, start, count, dim))
-    assert np.isnan(buf[count:]).all()
+    with rekeyed(rekey):
+        seed, start, count, dim = block
+        buf = np.full((count + spare, dim), np.nan)
+        out = _noise_block(seed, start, count, dim, out=buf[:count])
+        assert np.shares_memory(out, buf)
+        np.testing.assert_array_equal(out, _noise_block(seed, start, count, dim))
+        assert np.isnan(buf[count:]).all()
 
 
 def test_noise_block_rejects_a_buffer_of_another_shape():

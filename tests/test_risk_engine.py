@@ -1,3 +1,4 @@
+import ctypes
 import math
 import tracemalloc
 from functools import partial
@@ -247,6 +248,109 @@ class TestDrawBuffer:
         block(0, 600)  # sub-chunks of 256, 256 and 88
         assert len(outs) == 3
         assert all(out is not None and np.shares_memory(out, outs[0]) for out in outs)
+
+    @pytest.mark.parametrize("u, bound", [(None, 38), (U, 30)], ids=["prior", "fixed"])
+    def test_bayes_paths_fill_buffers_of_the_block_call(self, monkeypatch, u, bound):
+        # at grid 2048 the paths of a 256-replicate sub-chunk are 4 MiB each;
+        # built afresh per sub-chunk the block peaked at 40.3 and 32.3 MiB
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
+        tracemalloc.start()
+        try:
+            risk_engine._bayes_block(0, 4096, seed=1, grid_m=2048, spec=BayesSpec.centered(1.0),
+                                     params=PARAMS, u=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20
+
+
+class TestPhiloxProbe:
+    """_noise_block re-keys a row through the words of NumPy's philox_state
+    only when _philox_words vouches for their layout; it must read nothing
+    outside the bit generator object on the way."""
+
+    @staticmethod
+    def record_reads(monkeypatch, bg, head=None):
+        """Fail on any view _philox_words takes outside bg and return the
+        list of views it took; head, when given, stands in for the state head."""
+        lo, hi = id(bg), id(bg) + type(bg).__basicsize__
+        seen = []
+
+        def at(ctype, addr):
+            assert lo <= addr <= hi - ctypes.sizeof(ctype), "read outside the bit generator"
+            seen.append(ctype)
+            if head is not None and ctype is risk_engine._PhiloxHead:
+                return head
+            return real(ctype, addr)
+
+        real = risk_engine._at
+        monkeypatch.setattr(risk_engine, "_at", at)
+        return seen
+
+    @staticmethod
+    def assert_untouched(gen, seed, start):
+        np.testing.assert_array_equal(gen.standard_normal(9),
+                                      noise_stream(seed, start).standard_normal(9))
+
+    def test_accepts_the_installed_philox(self, monkeypatch):
+        # a NumPy whose layout the probe declines would run every block
+        # through the slow state-dict loop: fail here, not only in a benchmark
+        gen = noise_stream(7, 2**64 - 1)
+        seen = self.record_reads(monkeypatch, gen.bit_generator)
+        assert risk_engine._philox_words(gen.bit_generator, 7, 2**64 - 1) is not None
+        assert len(seen) == 4  # the head, the counter, the key and key[1]
+        self.assert_untouched(gen, 7, 2**64 - 1)
+
+    @pytest.mark.parametrize("seed, start", [(7, 101), (8, 100), (100, 7)])
+    def test_declines_another_key(self, monkeypatch, seed, start):
+        gen = noise_stream(7, 100)
+        self.record_reads(monkeypatch, gen.bit_generator)
+        assert risk_engine._philox_words(gen.bit_generator, seed, start) is None
+        self.assert_untouched(gen, 7, 100)
+
+    @pytest.mark.parametrize("advance", ["draw", "advance", "full-buffer"])
+    def test_declines_an_advanced_stream(self, monkeypatch, advance):
+        gen = noise_stream(7, 100)
+        if advance == "draw":
+            gen.standard_normal(3)
+        elif advance == "advance":
+            gen.bit_generator.advance(1)
+        else:
+            gen.bit_generator.random_raw()  # a counter of 1 and three words buffered
+        self.record_reads(monkeypatch, gen.bit_generator)
+        assert risk_engine._philox_words(gen.bit_generator, 7, 100) is None
+
+    @pytest.mark.parametrize("field", ["ctr", "key"])
+    def test_declines_a_pointer_outside_the_object(self, monkeypatch, field):
+        # stands in for a layout whose head holds other fields: the pointer
+        # is checked before it is read through
+        gen = noise_stream(7, 100)
+        bg = gen.bit_generator
+        real = risk_engine._PhiloxHead.from_address(bg.ctypes.state_address)
+        head = risk_engine._PhiloxHead(real.ctr, real.key, real.buffer_pos)
+        setattr(head, field, id(bg) + type(bg).__basicsize__)
+        seen = self.record_reads(monkeypatch, bg, head)
+        assert risk_engine._philox_words(bg, 7, 100) is None
+        assert seen == [risk_engine._PhiloxHead]
+        self.assert_untouched(gen, 7, 100)
+
+    def test_declines_a_counter_that_is_not_read_back(self, monkeypatch):
+        # a pointer to the zeroed output buffer passes every read check; the
+        # write read back through bit_generator.state exposes it
+        gen = noise_stream(7, 100)
+        bg = gen.bit_generator
+        real = risk_engine._PhiloxHead.from_address(bg.ctypes.state_address)
+        head = risk_engine._PhiloxHead(bg.ctypes.state_address + ctypes.sizeof(real),
+                                       real.key, real.buffer_pos)
+        self.record_reads(monkeypatch, bg, head)
+        assert risk_engine._philox_words(bg, 7, 100) is None
+        self.assert_untouched(gen, 7, 100)
+
+    def test_declines_another_bit_generator(self, monkeypatch):
+        gen = np.random.Generator(np.random.PCG64(7))
+        seen = self.record_reads(monkeypatch, gen.bit_generator)
+        assert risk_engine._philox_words(gen.bit_generator, 7, 0) is None
+        assert seen == []
 
 
 def stein_worker(fnl, lambda_scale=1.0):
