@@ -199,39 +199,32 @@ def _philox_words(bg, seed, start):
     return _at(ctypes.c_uint64, head.key + 8), ctr, head
 
 
-def _noise_block(seed, start, count, dim, out=None):
-    """Rows start..start+count-1 of seed's replicates: row i is
-    noise_stream(seed, start + i).standard_normal(dim), bit for bit.
+def _noise_block(seed, start, count, dim):
+    """Rows start..start+count-1 of seed's replicates, as a new (count, dim)
+    array: row i is noise_stream(seed, start + i).standard_normal(dim), bit
+    for bit.
 
     One Generator serves the block. Per replicate its Philox is re-keyed in
     place: key[1] is set to start + i, the four counter words to zero and
     buffer_pos to 4 (empty buffer), through the views _philox_words finds
     once per block. That is the state of a fresh noise_stream(seed, start + i),
     so no stream is built per row. When the layout check declines, each row
-    is re-keyed by assigning the bit generator's state dict instead: slower,
-    the same bits. The rows are written into out, a C-contiguous (count, dim)
-    float array, when one is given, and into a new array otherwise.
+    is drawn from its own noise_stream(seed, start + i), the definition
+    itself: slower, the same bits.
     """
     # before any write: a c_uint64 key word would wrap silently
     if start + count - 1 >= 2**64:
         raise ValueError("replicate index must fit an unsigned 64-bit integer")
-    if out is None:
-        out = np.empty((count, dim), dtype=float)
-    elif out.shape != (count, dim):
-        raise ValueError(f"out has shape {out.shape}, need {(count, dim)}")
+    out = np.empty((count, dim))
     if count == 0:
         return out
     gen = noise_stream(seed, start)
     # a tuple size skips NumPy's slower check of an int size against out
     normal, shape = gen.standard_normal, (dim,)
     words = _philox_words(gen.bit_generator, seed, start)
-    if words is None:  # another layout: the state dict, the same bits
-        state = gen.bit_generator.state
-        key = state["state"]["key"]
+    if words is None:  # another layout: one stream per row
         for i in range(count):
-            key[1] = start + i
-            gen.bit_generator.state = state
-            normal(shape, out=out[i])
+            noise_stream(seed, start + i).standard_normal(shape, out=out[i])
         return out
     key1, ctr, head = words
     for i in range(count):
@@ -317,7 +310,7 @@ def _report(moments, seed, label, j=()):
 # its settings as keywords bound with functools.partial and returns a tuple
 # of per-replicate arrays, replicate index first.
 
-_SUB_CHUNK = 256  # replicates (groups) drawn at once: bounds a block's arrays
+_SUB_CHUNK = 64  # replicates (groups) drawn at once: bounds a block's arrays
 
 
 def _check_nonzero(denom, start, label):
@@ -333,14 +326,12 @@ def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     # estimate - u = X - u = X^u = sum_k lambda_k eta_k e_k: the drift
     # cancels, and the L^2 risk is the coefficient sum sum_k (lambda_k eta_k)^2.
     # start/count index groups; group g averages replicates g*group..(g+1)*group-1,
-    # and _SUB_CHUNK groups are drawn at a time
+    # and _SUB_CHUNK groups are drawn at a time, each sub-chunk into a fresh array
     lam = SineBasis(params.sigma, params.T, n_basis).eigenvalues()
     risks = np.empty(count)
-    buf = np.empty((min(_SUB_CHUNK, count) * group, n_basis))  # every sub-chunk's draws
     for off in range(0, count, _SUB_CHUNK):
         sub = min(_SUB_CHUNK, count - off)
-        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis,
-                           out=buf[:sub * group])
+        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis)
         coef = eta.reshape(sub, group, n_basis).mean(axis=1) * lam
         risks[off:off + sub] = np.einsum("ij,ij->i", coef, coef)
     return (risks,)
@@ -360,7 +351,8 @@ def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_
     _check_nonzero(dn, start, "functional denominator")
     # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
     corr = (a / dn)[:, None] * c
-    err = eta * SineBasis(sigma, T, n_basis).eigenvalues()
+    err = eta  # in place: eta is not read again
+    err *= SineBasis(sigma, T, n_basis).eigenvalues()
     err[:, :n] += corr
     risk = np.einsum("ij,ij->i", err, err)
 
@@ -403,20 +395,18 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     # the streams are prefix-stable, so a fixed drift just draws fewer
     dim = 2 * m if u is None else m
     risks = np.empty(count)
-    rows = min(_SUB_CHUNK, count)
-    # every sub-chunk's draws and paths, allocated once per call
-    buf, x_buf = np.empty((rows, dim)), np.empty((rows, m + 1))
-    u_buf = np.empty((rows, m + 1)) if u is None else None
+    # _SUB_CHUNK replicates at a time; each sub-chunk's draws, paths and
+    # posterior curve are fresh arrays
     for off in range(0, count, _SUB_CHUNK):
         sub = min(_SUB_CHUNK, count - off)
-        draws = _noise_block(seed, start + off, sub, dim, out=buf[:sub])
+        draws = _noise_block(seed, start + off, sub, dim)
         u_vals = drift
         if u is None:
-            u_vals = _from_zero(draws[:, m:], tau_left, u_buf[:sub])
+            u_vals = _from_zero(draws[:, m:], tau_left)
             u_vals += drift
         # the martingale part is built from grid increments here (exact in
         # distribution at the nodes), so no basis truncation enters
-        x = _from_zero(draws[:, :m], sig_left, x_buf[:sub])
+        x = _from_zero(draws[:, :m], sig_left)
         x += u_vals
         err = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params)
         err -= u_vals  # in place: the curve is a fresh array
@@ -425,10 +415,11 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     return (risks,)
 
 
-def _from_zero(inc, scale, out):
-    """Node values, into out, of paths that start at 0 and have the grid
-    increments inc * scale; inc is scaled in place."""
+def _from_zero(inc, scale):
+    """Node values of paths that start at 0 and have the grid increments
+    inc * scale; inc is scaled in place."""
     inc *= scale
+    out = np.empty((inc.shape[0], inc.shape[1] + 1))
     out[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out

@@ -52,11 +52,9 @@ U = DriftSpec.linear(1.0)
 JS4 = CylindricalFunctional(n=4, a=-2.0)
 
 
-def zero_draws(seed, start, count, dim, out=None):
-    """Stand-in for _noise_block that writes zeros where the draws would go."""
-    out = np.empty((count, dim)) if out is None else out
-    out[...] = 0.0
-    return out
+def zero_draws(seed, start, count, dim):
+    """Stand-in for _noise_block that returns zeros of the shape it would draw."""
+    return np.zeros((count, dim))
 
 
 def truncated_efficient_risk(n_basis, params=PARAMS):
@@ -115,15 +113,15 @@ class TestMcRisk:
         # reads 64 drift increments
         dims = []
 
-        def recording(seed, start, count, d, out=None):
+        def recording(seed, start, count, d):
             dims.append(d)
-            return noise_block(seed, start, count, d, out=out)
+            return noise_block(seed, start, count, d)
 
         noise_block = risk_engine._noise_block
         monkeypatch.setattr(risk_engine, "_noise_block", recording)
         mc_risk(BayesSpec.centered(1.0), U, PARAMS, 300, 5, grid_m=64,
                 prior_drift=prior_drift)
-        assert dims == [dim, dim]  # two sub-chunks of 256 and 44
+        assert dims == [dim] * math.ceil(300 / risk_engine._SUB_CHUNK)  # one per sub-chunk
 
     def test_stein_needs_n_basis_at_least_n(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -217,10 +215,14 @@ class TestSampleAverage:
 
 
 class TestDrawBuffer:
+    """Each sub-chunk draws into fresh arrays, so a block's peak is a few
+    sub-chunks' arrays; zeros stand in for the (slow) draws, since the peak
+    is set by the shapes the block asks for."""
+
     def test_group_block_draws_into_one_buffer(self, monkeypatch):
-        # the 32 MiB sub-chunk of draws is the one buffer every sub-chunk
-        # reuses; with the previous draws alive while the next were made the
-        # same block peaked at 66 MiB
+        # a 64-group sub-chunk of 16 draws 8 MiB, alive next to the previous
+        # one's; at 256 groups the same block peaked at 38 MiB with one
+        # 32 MiB buffer for every sub-chunk and at 66 MiB without
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -231,28 +233,11 @@ class TestDrawBuffer:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    @pytest.mark.parametrize("block", [
-        partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=8, group=3),
-        partial(risk_engine._bayes_block, seed=1, grid_m=16, spec=BayesSpec.centered(1.0),
-                params=PARAMS, u=None),
-    ], ids=["efficient", "bayes"])
-    def test_sub_chunks_share_one_buffer(self, monkeypatch, block):
-        outs = []
-
-        def recording(seed, start, count, dim, out=None):
-            outs.append(out)
-            return noise_block(seed, start, count, dim, out=out)
-
-        noise_block = risk_engine._noise_block
-        monkeypatch.setattr(risk_engine, "_noise_block", recording)
-        block(0, 600)  # sub-chunks of 256, 256 and 88
-        assert len(outs) == 3
-        assert all(out is not None and np.shares_memory(out, outs[0]) for out in outs)
-
     @pytest.mark.parametrize("u, bound", [(None, 38), (U, 30)], ids=["prior", "fixed"])
     def test_bayes_paths_fill_buffers_of_the_block_call(self, monkeypatch, u, bound):
-        # at grid 2048 the paths of a 256-replicate sub-chunk are 4 MiB each;
-        # built afresh per sub-chunk the block peaked at 40.3 and 32.3 MiB
+        # at grid 2048 the paths of a 64-replicate sub-chunk are 1 MiB each;
+        # at 256 replicates the block peaked at 40.3 and 32.3 MiB with fresh
+        # paths and at 36.3 and 28.3 MiB with per-call path buffers
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -262,6 +247,32 @@ class TestDrawBuffer:
         finally:
             tracemalloc.stop()
         assert peak < bound * 2**20
+
+    def test_bayes_block_peak_with_a_prior_drift(self, monkeypatch):
+        # 64-replicate sub-chunks: the draws are 2 MiB and each path and
+        # posterior-curve array 1 MiB; with 256-replicate sub-chunks the
+        # block peaked at 36.3 MiB
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
+        tracemalloc.start()
+        try:
+            risk_engine._bayes_block(0, 4096, seed=1, grid_m=2048, spec=BayesSpec.centered(1.0),
+                                     params=PARAMS, u=None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_stein_block_scales_its_draws_in_place(self, monkeypatch):
+        # the draws of a 4096-replicate block at n_basis 1024 are 32 MiB; the
+        # error coefficients, as a second array, took the peak to 65 MiB
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
+        tracemalloc.start()
+        try:
+            stein_worker(JS4, n_basis=1024, grid_m=2048)(0, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestPhiloxProbe:
@@ -293,8 +304,8 @@ class TestPhiloxProbe:
                                       noise_stream(seed, start).standard_normal(9))
 
     def test_accepts_the_installed_philox(self, monkeypatch):
-        # a NumPy whose layout the probe declines would run every block
-        # through the slow state-dict loop: fail here, not only in a benchmark
+        # a NumPy whose layout the probe declines would build one stream per
+        # row in every block: fail here, not only in a benchmark
         gen = noise_stream(7, 2**64 - 1)
         seen = self.record_reads(monkeypatch, gen.bit_generator)
         assert risk_engine._philox_words(gen.bit_generator, 7, 2**64 - 1) is not None
@@ -353,8 +364,8 @@ class TestPhiloxProbe:
         assert seen == []
 
 
-def stein_worker(fnl, lambda_scale=1.0):
-    return risk_engine._stein_worker(fnl, U, PARAMS, 5, 16, 32, lambda_scale)
+def stein_worker(fnl, lambda_scale=1.0, n_basis=16, grid_m=32):
+    return risk_engine._stein_worker(fnl, U, PARAMS, 5, n_basis, grid_m, lambda_scale)
 
 
 class TestTaskSplit:
