@@ -77,6 +77,22 @@ def test_noise_block_splits_anywhere(rekey, block, data):
                             _noise_block(seed, start + cut, count - cut, dim)]))
 
 
+@REKEY_PATHS
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(noise_blocks())
+def test_noise_block_returns_a_new_array(rekey, block):
+    # the blocks scale their draws in place, so every call must hand back a
+    # C-contiguous array of its own
+    with rekeyed(rekey):
+        seed, start, count, dim = block
+        first = _noise_block(seed, start, count, dim)
+        second = _noise_block(seed, start, count, dim)
+        assert first.shape == (count, dim) and first.dtype == np.float64
+        assert first.flags.c_contiguous and first.flags.writeable
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.integers(0, U64 - 1), st.integers(2, 6), st.integers(1, 5), st.integers(0, 4))
 def test_noise_block_past_the_last_key_rejected(seed, count, over, back):

@@ -233,6 +233,26 @@ class TestDrawBuffer:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
+    @pytest.mark.parametrize("block, group", [
+        (partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=8, group=3), 3),
+        (partial(risk_engine._bayes_block, seed=1, grid_m=16, spec=BayesSpec.centered(1.0),
+                 params=PARAMS, u=None), 1),
+    ], ids=["efficient", "bayes"])
+    def test_sub_chunks_tile_the_block(self, monkeypatch, block, group):
+        # replicates (groups) 100..699 are drawn as consecutive sub-chunks of
+        # _SUB_CHUNK, the last one shorter
+        calls = []
+
+        def recording(seed, start, count, dim):
+            calls.append((start, count))
+            return zero_draws(seed, start, count, dim)
+
+        monkeypatch.setattr(risk_engine, "_noise_block", recording)
+        block(100, 600)
+        sub = risk_engine._SUB_CHUNK
+        assert calls == [((100 + off) * group, min(sub, 600 - off) * group)
+                         for off in range(0, 600, sub)]
+
     @pytest.mark.parametrize("u, bound", [(None, 38), (U, 30)], ids=["prior", "fixed"])
     def test_bayes_paths_fill_buffers_of_the_block_call(self, monkeypatch, u, bound):
         # at grid 2048 the paths of a 64-replicate sub-chunk are 1 MiB each;
