@@ -16,8 +16,9 @@ Every subcommand writes one CSV file (single header row, "." decimal,
 for identical configuration, including the seed, and does not depend on
 --workers.
 
-Exit codes: 0 success, 1 invalid configuration, 2 I/O failure,
-3 degenerate sample, 4 identity-suite failure (each failing row on stderr).
+Exit codes: 0 success, 1 invalid configuration (an arithmetic overflow
+included), 2 I/O failure, 3 degenerate sample, 4 identity-suite failure
+(each failing row on stderr).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _FLAGS = {
     "seed": (int, 0, "stream seed"),
     "n-basis": (_positive_int, 1024, "expansion length"),
     "grid": (_positive_int, 2048, "grid intervals"),
-    "workers": (_positive_int, 1, "worker processes"),
+    "workers": (_positive_int, 1, "worker processes, at most one per CPU"),
     "n": (int, 4, "functional dimension"),
     "a": (_finite_float, None, "exponent (default 2-n)"),
     "n-max": (int, 10, "largest n"),
@@ -291,6 +292,10 @@ def main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"driftlab: invalid configuration: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # e.g. an input near the float limit overflowing a closed form
+        print(f"driftlab: invalid configuration: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except DegenerateSampleError as exc:
         print(f"driftlab: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .process_sim import (
     DegenerateSampleError,
@@ -28,6 +27,7 @@ from .process_sim import (
     TimeGrid,
     VolatilityProfile,
     check_breakpoints,
+    cumulative_trapezoid,
     drift_inner_products,
     nested_integral,
     stieltjes_cumulative,
@@ -193,7 +193,7 @@ def bayes_mse_decomposition(spec: BayesSpec, u: DriftSpec, sigma_profile, grid, 
     integrand = sig2 * (
         spec.v.derivative_values(t, params) - u.derivative_values(t, params)
     ) / (tau2 + sig2)
-    inner = cumulative_trapezoid(integrand, dx=grid.dt, initial=0.0)
+    inner = cumulative_trapezoid(integrand, grid.dt)
     bias_sq = float(np.trapezoid(inner * inner, dx=grid.dt))
     return variance, bias_sq
 

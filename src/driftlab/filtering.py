@@ -4,6 +4,9 @@ Finite-dimensional conditioning of a Gaussian signal observed in
 independent Gaussian noise, together with its scalar specialization to
 independent-increment paths, where the posterior mean reduces to a
 shrinkage filter along the time axis.
+
+SciPy's Cholesky solver is imported where it is first used, by the
+finite-dimensional conditioning; the scalar path filter needs only NumPy.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .estimators import posterior_drift_curve
 from .process_sim import ModelParams, profile_segments
@@ -111,6 +113,8 @@ def conditional_law(model: DiscreteGaussianModel) -> PosteriorLaw:
     numpy.linalg.LinAlgError
         If gamma + gamma_tau is conditioned worse than 1e12.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     s = model.gamma + model.gamma_tau
     if np.linalg.cond(s) > _COND_LIMIT:
         raise np.linalg.LinAlgError("gamma + gamma_tau is too ill-conditioned to solve")
@@ -156,6 +160,8 @@ def brute_force_condition(joint_cov, joint_mean, x) -> PosteriorLaw:
     sig11 = joint_cov[:d, :d]
     sig12 = joint_cov[:d, d:]
     sig22 = joint_cov[d:, d:]
+    from scipy.linalg import cho_factor, cho_solve
+
     factor = cho_factor(sig22, lower=True)
     gain = cho_solve(factor, sig12.T).T  # sig12 sig22^{-1}
     mean = joint_mean[:d] + gain @ (x - joint_mean[d:])

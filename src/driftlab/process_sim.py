@@ -10,6 +10,10 @@ simulated by the truncated expansion
 with i.i.d. standard normal coefficients eta_n drawn from counter-based
 substreams, so every replicate is reproducible independently of execution
 order or worker count.
+
+Only NumPy is imported at load time. SciPy's DST (`SineBasis.synthesize`)
+is imported at its first use, so a run that projects no path never loads
+SciPy. `cumulative_trapezoid` is written in NumPy with SciPy's arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.fft import dst
 
 
 class DegenerateSampleError(RuntimeError):
@@ -167,9 +170,7 @@ class DriftSpec:
             weights = c * basis.eigenvalues() / params.sigma**2
             return (weights @ basis.orthonormal_matrix(t)).reshape(t.shape)
         # tabulated: cumulative trapezoid of the stored derivative
-        from scipy.integrate import cumulative_trapezoid
-
-        u = cumulative_trapezoid(self.du, dx=self.du_grid.dt, initial=0.0)
+        u = cumulative_trapezoid(self.du, self.du_grid.dt)
         return np.interp(t, self.du_grid.points, u)
 
     def derivative_values(self, t, params):
@@ -252,6 +253,8 @@ class SineBasis:
             pad = [(0, 0)] * (coef.ndim - 1) + [(0, 2 * m * periods - k)]
             wrapped = np.pad(coef, pad).reshape(*coef.shape[:-1], periods, 2 * m).sum(axis=-2)
             coef = wrapped[..., :m] - wrapped[..., :m - 1:-1]
+        from scipy.fft import dst  # loaded at first use: import driftlab needs no SciPy
+
         out = np.empty(coef.shape[:-1] + (m + 1,))
         out[..., 0] = 0.0
         out[..., 1:] = dst(coef, type=2, n=m, axis=-1)
@@ -444,6 +447,20 @@ def nested_integral(rate, T, *profiles):
         total += 0.5 * (inner + nxt) * (b - a)
         inner = nxt
     return total
+
+
+def cumulative_trapezoid(y, dx):
+    """Running trapezoid integrals int_0^{t_i} y of samples y at spacing dx,
+    starting at 0.
+
+    The arithmetic is scipy.integrate.cumulative_trapezoid's with initial=0,
+    cumsum(dx * (y[1:] + y[:-1]) / 2.0) after a leading 0, so the two agree
+    bit for bit. Raises ValueError on an empty y, as SciPy does.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.size == 0:
+        raise ValueError("need at least one sample to integrate")
+    return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
 def stieltjes_cumulative(values, left_weights):

@@ -3,18 +3,22 @@
 Replicates are partitioned into fixed-size blocks; block results are
 reduced in replicate-index order, so every report is bit-reproducible
 from (seed, reps, grid, n_basis) regardless of the worker count.
+
+SciPy's Faddeeva function, which only the n = 3 gain column needs, is loaded
+by `_gain_moments` in the calling process, before any pool forks, so the
+workers inherit it and importing driftlab loads no SciPy.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import wofz
 
 from .estimators import BayesSpec, CylindricalFunctional, posterior_drift_curve, stein_closed_forms
 from .process_sim import (
@@ -279,7 +283,8 @@ def _run_blocks(worker, reps, workers):
     rows each) to the parent, which joins each block's columns in replicate
     order. Either way every whole block is reduced along its replicate axis
     by the same code, and the block partials are added in block order, so the
-    result does not depend on the worker count."""
+    result does not depend on the worker count. The pool starts at most one
+    process per task and per CPU."""
     if reps < 2:
         raise ValueError("need reps >= 2")
     if workers < 1:
@@ -287,7 +292,8 @@ def _run_blocks(worker, reps, workers):
     bounds = [(s, min(_BLOCK, reps - s)) for s in range(0, reps, _BLOCK)]
     if workers > 1:
         tasks = [(s + o, min(_TASK, c - o)) for s, c in bounds for o in range(0, c, _TASK)]
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as ex:
+        pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=pool_size) as ex:
             done = ex.map(worker, *zip(*tasks), chunksize=1)
             parts = [_block_moments(_joined(done, c)) for _, c in bounds]
     else:
@@ -435,7 +441,10 @@ def _gain_block(start, count, *, seed, n_max, rho):
 
 def _gain_column(z, w, delta, start):
     """Per-replicate gains n = 3..n_max from the draws z at offsets delta."""
-    terms = (w * z + delta) ** 2
+    # (w z + delta)^2 formed in one array: the same bits, a smaller peak
+    terms = w * z
+    terms += delta
+    terms *= terms
     # n = 3 is conditioned on coordinates 2 and 3: with Y = w_1 z_1 + delta_1
     # and r^2 = their terms, E[1/(Y^2 + r^2) | r] is a Voigt profile
     r = np.sqrt(terms[:, 1] + terms[:, 2])
@@ -451,6 +460,8 @@ def _conditional_inverse_moment(delta, w, r):
     """E[1/(Y^2 + r^2)] for Y ~ N(delta, w^2) and r > 0: the Gaussian-Cauchy
     convolution, sqrt(pi/2)/(w r) Re w((delta + i r)/(w sqrt 2)), with w(.)
     the Faddeeva function."""
+    from scipy.special import wofz  # already loaded by _gain_moments
+
     return (math.sqrt(math.pi / 2) / (w * r)
             * wofz((delta + 1j * r) / (w * math.sqrt(2.0))).real)
 
@@ -597,6 +608,10 @@ def _gain_moments(alpha, models, n_max, reps, seed, workers):
     for sigma, T in models:
         params = ModelParams(sigma=sigma, T=T, alpha=alpha)
         rho.append(params.alpha * math.sqrt(2.0 * params.T) / params.sigma)
+    # the n = 3 column needs scipy.special: load it here, before _run_blocks
+    # forks a pool, or every worker of every pooled call imports it anew
+    import scipy.special  # noqa: F401
+
     worker = partial(_gain_block, seed=seed, n_max=n_max, rho=tuple(rho))
     return _run_blocks(worker, reps, workers)
 

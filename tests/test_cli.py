@@ -380,6 +380,19 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
+        ["bayes", "--tau", "1e300", "--grid", "4", "--reps", "4"],
+        ["filter", "--sigma", "1e300", "--grid", "4"],
+    ], ids=["bayes-tau-1e300", "filter-sigma-1e300"])
+    def test_overflow_exits_one_without_output(self, tmp_path, capsys, argv):
+        # both ended in an uncaught OverflowError traceback from a closed form
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("driftlab: invalid configuration: OverflowError")
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.plot.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
         ["constant", "--reps", "100", "--T", "1"],
         ["gain-curve", "--n-max", "4", "--reps", "100", "--grid", "64"],
     ])

@@ -1,0 +1,83 @@
+"""Importing driftlab loads NumPy and no SciPy module. Each SciPy function is
+loaded at its first use, and the gain engine loads scipy.special in the
+calling process before a pool forks, so the workers inherit it."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import driftlab
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports the driftlab under test;
+    return the JSON value of its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_import_loads_no_scipy():
+    loaded = run_python(f"import json, sys, driftlab, driftlab.cli\n"
+                        f"print(json.dumps({SCIPY_MODULES}))")
+    assert loaded == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["bayes", "--reps", "64", "--grid", "16"],
+    ["constant", "--reps", "64"],
+], ids=lambda argv: argv[0])
+def test_subcommand_runs_without_scipy(tmp_path, argv):
+    code = ("import json, sys\n"
+            "from driftlab import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            f"print(json.dumps([code, {SCIPY_MODULES}]))")
+    out = tmp_path / "out.csv"
+    assert run_python(code, *argv, "--out", str(out)) == [0, []]
+    assert out.exists()
+
+
+# A stand-in _gain_block, patched onto risk_engine under the same name so that
+# it still pickles, records in each worker whether scipy.special was loaded
+# when that worker's first block started.
+POOLED_GAIN = """
+import json, os, sys
+from driftlab import risk_engine
+
+real_block = risk_engine._gain_block
+seen = sys.argv[1]
+
+
+def _gain_block(start, count, **kwargs):
+    path = os.path.join(seen, str(os.getpid()))
+    if not os.path.exists(path):
+        with open(path, "w") as fh:
+            fh.write(json.dumps("scipy.special" in sys.modules))
+    return real_block(start, count, **kwargs)
+
+
+_gain_block.__module__ = risk_engine.__name__
+risk_engine._gain_block = _gain_block
+before = "scipy.special" in sys.modules
+risk_engine.gain_curve(1.0, 1.0, 1.0, 5, 8192, 3, workers=2)
+print(json.dumps([before, os.getpid()]))
+"""
+
+
+def test_pool_workers_inherit_scipy_special(tmp_path):
+    before, parent = run_python(POOLED_GAIN, str(tmp_path))
+    assert before is False
+    workers = {int(path.name): json.loads(path.read_text()) for path in tmp_path.iterdir()}
+    assert workers and parent not in workers  # every block ran in a worker
+    assert all(workers.values()), workers

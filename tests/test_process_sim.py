@@ -451,6 +451,23 @@ class TestStieltjesCumulative:
             stieltjes_cumulative(np.zeros(5), np.zeros(3))
 
 
+class TestCumulativeTrapezoid:
+    @pytest.mark.parametrize("size", [1, 2, 3, 2049, 8193])
+    @pytest.mark.parametrize("dx", [1.0, 1 / 2048, 0.1, 3.7e-5, 12.5])
+    def test_bits_match_scipy(self, size, dx):
+        y = np.random.default_rng(size).standard_normal(size) * 1e3
+        ours = process_sim.cumulative_trapezoid(y, dx)
+        ref = cumulative_trapezoid(y, dx=dx, initial=0.0)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_empty_samples_rejected_like_scipy(self):
+        with pytest.raises(ValueError):
+            cumulative_trapezoid(np.empty(0), dx=0.5, initial=0.0)
+        with pytest.raises(ValueError):
+            process_sim.cumulative_trapezoid(np.empty(0), 0.5)
+
+
 def test_degenerate_error_carries_replicate():
     err = DegenerateSampleError("boom", replicate=17)
     assert err.replicate == 17

@@ -1,5 +1,6 @@
 import ctypes
 import math
+import os
 import tracemalloc
 from functools import partial
 
@@ -456,12 +457,22 @@ class TestPool:
         (4096, 8, [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024)]),
         (4396, 3, [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 300)]),
     ])
-    def test_pool_capped_at_the_task_count(self, pools, reps, workers, tasks):
+    def test_pool_capped_at_the_task_count(self, pools, monkeypatch, reps, workers, tasks):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the CPU cap is tested below
         rep = universal_constant(reps, 7, workers=workers)
         assert [(pool.max_workers, pool.tasks) for pool in pools] == [
             (min(workers, len(tasks)), tasks)]
         assert rep == universal_constant(reps, 7)
         assert len(pools) == 1  # the serial run made none
+
+    @pytest.mark.parametrize("cpus, size", [(3, 3), (1, 1), (None, 1)])
+    def test_pool_capped_at_the_cpu_count(self, pools, monkeypatch, cpus, size):
+        # 20 tasks and 5000 workers asked for; the stand-in pool starts no
+        # process, so the cap is checked without starting any
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = universal_constant(20480, 7, workers=5000)
+        assert [(pool.max_workers, len(pool.tasks)) for pool in pools] == [(size, 20)]
+        assert rep == universal_constant(20480, 7)
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--grid", "64", "--n-basis", "32"],
