@@ -151,6 +151,8 @@ def brute_force_condition(joint_cov, joint_mean, x) -> PosteriorLaw:
     numpy.linalg.LinAlgError
         If the observed block is singular.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     joint_cov = np.asarray(joint_cov, dtype=float)
     joint_mean = np.asarray(joint_mean, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -160,8 +162,6 @@ def brute_force_condition(joint_cov, joint_mean, x) -> PosteriorLaw:
     sig11 = joint_cov[:d, :d]
     sig12 = joint_cov[:d, d:]
     sig22 = joint_cov[d:, d:]
-    from scipy.linalg import cho_factor, cho_solve
-
     factor = cho_factor(sig22, lower=True)
     gain = cho_solve(factor, sig12.T).T  # sig12 sig22^{-1}
     mean = joint_mean[:d] + gain @ (x - joint_mean[d:])

@@ -244,6 +244,8 @@ class SineBasis:
         O(M log M) transform.  coef may carry leading batch axes; the
         number of modes is coef.shape[-1] and is not bounded by M.
         """
+        from scipy.fft import dst  # loaded at first use: import driftlab needs no SciPy
+
         if grid.T != self.T:
             raise ValueError(f"grid horizon {grid.T} differs from the basis horizon {self.T}")
         coef = np.asarray(coef, dtype=float)
@@ -253,8 +255,6 @@ class SineBasis:
             pad = [(0, 0)] * (coef.ndim - 1) + [(0, 2 * m * periods - k)]
             wrapped = np.pad(coef, pad).reshape(*coef.shape[:-1], periods, 2 * m).sum(axis=-2)
             coef = wrapped[..., :m] - wrapped[..., :m - 1:-1]
-        from scipy.fft import dst  # loaded at first use: import driftlab needs no SciPy
-
         out = np.empty(coef.shape[:-1] + (m + 1,))
         out[..., 0] = 0.0
         out[..., 1:] = dst(coef, type=2, n=m, axis=-1)
