@@ -124,13 +124,19 @@ def _fmt(value) -> str:
 
 def _write(args, rows):
     """Write rows under the subcommand's CSV header to args.out, and its
-    companion gnuplot script to <out>.plot.txt."""
+    companion gnuplot script to <out>.plot.txt. A non-finite number in a row
+    is a ValueError naming its column, and then nothing is written."""
     *_, header, title, terms = _SUBCOMMANDS[args.subcommand]
     out = args.out
+    columns = header.split(",")
+    lines = [header]
+    for i, row in enumerate(rows, 1):
+        for name, value in zip(columns, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} is {value} in row {i}; no output written")
+        lines.append(",".join(_fmt(v) for v in row))
     with open(out, "w", encoding="ascii", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
     lines = [
         "# companion plot script; render with: gnuplot -p " + out + ".plot.txt",
         'set datafile separator ","',

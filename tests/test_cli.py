@@ -392,6 +392,25 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "x.csv.plot.txt").exists()
 
+    @pytest.mark.parametrize("argv, column", [
+        (["gain-curve", "--n-max", "3", "--reps", "64", "--alpha", "1e200"], "gain_mean"),
+        (["identity-suite", "--n", "4", "--reps", "64", "--n-basis", "8", "--grid", "8",
+          "--sigma", "1e-300"], "lhs"),
+    ], ids=["gain-curve-alpha-1e200", "identity-suite-sigma-1e-300"])
+    def test_non_finite_result_exits_one_without_output(self, tmp_path, capsys, argv, column):
+        # finite inputs whose results overflow: the first wrote 3,nan,nan,nan
+        # with exit 0, the second rows of nan with exit 4
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            # NumPy warns on the way to the nan; the exit code is under test
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("driftlab: invalid configuration: ")
+        assert f"{column} is nan in row 1" in err
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.plot.txt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["constant", "--reps", "100", "--T", "1"],
         ["gain-curve", "--n-max", "4", "--reps", "100", "--grid", "64"],

@@ -1,6 +1,7 @@
-"""Importing driftlab loads NumPy and no SciPy module. Each SciPy function is
-loaded at its first use, and the gain engine loads scipy.special in the
-calling process before a pool forks, so the workers inherit it."""
+"""Importing driftlab loads NumPy and no SciPy module, and probes no noise
+tables. Each SciPy function is loaded at its first use, and the gain engine
+loads scipy.special, and the block runner the noise tables, in the calling
+process before a pool forks, so the workers inherit them."""
 
 import json
 import os
@@ -49,35 +50,47 @@ def test_subcommand_runs_without_scipy(tmp_path, argv):
 
 
 # A stand-in _gain_block, patched onto risk_engine under the same name so that
-# it still pickles, records in each worker whether scipy.special was loaded
-# when that worker's first block started.
+# it still pickles, records in each worker whether what it is asked about
+# (a Python expression, evaluated before and during the pooled run) was
+# already true when that worker's first block started.
 POOLED_GAIN = """
 import json, os, sys
 from driftlab import risk_engine
 
 real_block = risk_engine._gain_block
-seen = sys.argv[1]
+seen, loaded = sys.argv[1], sys.argv[2]
 
 
 def _gain_block(start, count, **kwargs):
     path = os.path.join(seen, str(os.getpid()))
     if not os.path.exists(path):
         with open(path, "w") as fh:
-            fh.write(json.dumps("scipy.special" in sys.modules))
+            fh.write(json.dumps(eval(loaded)))
     return real_block(start, count, **kwargs)
 
 
 _gain_block.__module__ = risk_engine.__name__
 risk_engine._gain_block = _gain_block
-before = "scipy.special" in sys.modules
+before = eval(loaded)
 risk_engine.gain_curve(1.0, 1.0, 1.0, 5, 8192, 3, workers=2)
 print(json.dumps([before, os.getpid()]))
 """
 
 
-def test_pool_workers_inherit_scipy_special(tmp_path):
-    before, parent = run_python(POOLED_GAIN, str(tmp_path))
+def assert_workers_inherit(tmp_path, loaded):
+    # not loaded by importing driftlab; loaded by the parent before the pool
+    # forks, so that no worker loads its own
+    before, parent = run_python(POOLED_GAIN, str(tmp_path), loaded)
     assert before is False
     workers = {int(path.name): json.loads(path.read_text()) for path in tmp_path.iterdir()}
     assert workers and parent not in workers  # every block ran in a worker
     assert all(workers.values()), workers
+
+
+def test_pool_workers_inherit_scipy_special(tmp_path):
+    assert_workers_inherit(tmp_path, "'scipy.special' in sys.modules")
+
+
+def test_pool_workers_inherit_noise_tables(tmp_path):
+    # the 1024-row tasks of 5 normals a row take the array path
+    assert_workers_inherit(tmp_path, "risk_engine._array_tables.cache_info().currsize == 1")

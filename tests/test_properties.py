@@ -17,17 +17,40 @@ U64 = 2**64
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
 
 # _noise_block re-keys through Philox's state words when the layout probe
-# accepts them and builds one stream per row when it declines; both must give
-# the stream loop's bits
-REKEY_PATHS = pytest.mark.parametrize("rekey", ["pointer", "declined"])
+# accepts them and builds one stream per row when it declines; narrow blocks
+# of many rows take the array path, here lowered to every block of these
+# tests, with its fast-path rows, with every row left to the loop, and with
+# tables that its self-check declines. All must give the stream loop's bits
+REKEY_PATHS = pytest.mark.parametrize(
+    "rekey", ["pointer", "declined", "array", "array-fallback", "array-declined"])
+
+
+def doubled_widths(probe=risk_engine._ziggurat_tables):
+    wi, lower = probe()
+    return wi * 2.0, lower
 
 
 @contextmanager
 def rekeyed(path):
+    # the tables are cached per process: rebuilt around a run that patches them
+    tables = risk_engine._array_tables
     with pytest.MonkeyPatch.context() as mp:
         if path == "declined":
             mp.setattr(risk_engine, "_philox_words", lambda bg, seed, start: None)
-        yield
+        if path.startswith("array"):
+            mp.setattr(risk_engine, "_ARRAY_MIN_ROWS", 1)
+            mp.setattr(risk_engine, "_ARRAY_MAX_DIM", 24)
+        if path == "array-fallback":
+            wi, lower = tables()
+            mp.setattr(risk_engine, "_array_tables", lambda: (wi, np.zeros_like(lower)))
+        if path == "array-declined":
+            mp.setattr(risk_engine, "_ziggurat_tables", doubled_widths)
+            tables.cache_clear()
+        try:
+            yield
+        finally:
+            if path == "array-declined":
+                tables.cache_clear()
 
 
 @st.composite
@@ -91,6 +114,36 @@ def test_noise_block_returns_a_new_array(rekey, block):
         assert first.flags.c_contiguous and first.flags.writeable
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, second)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(noise_blocks(), st.integers(1, 4))
+def test_philox_block_is_random_raw(block, blocks):
+    # every row's words, keys and counters wrapping near 2^64 included, with
+    # no overflow warning (warnings are errors here)
+    seed, start, count, _ = block
+    expected = [np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
+                .random_raw(4 * blocks) for i in range(count)]
+    np.testing.assert_array_equal(risk_engine._philox_block(seed, start, count, blocks),
+                                  expected)
+
+
+def test_array_path_is_live():
+    # this NumPy's tables pass the probes and the self-check, and only a
+    # strip whose rabs = 1 word leaves the fast path (strip 1) has no bound
+    wi, lower = risk_engine._array_tables()
+    assert np.all(wi > 0) and np.count_nonzero(lower) >= 250
+
+
+@pytest.mark.parametrize("tables", [lambda: None, doubled_widths], ids=["probe-fails", "wrong-widths"])
+def test_array_path_declines(tables):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(risk_engine, "_ziggurat_tables", tables)
+        risk_engine._array_tables.cache_clear()
+        try:
+            assert risk_engine._array_tables() is None
+        finally:
+            risk_engine._array_tables.cache_clear()
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
