@@ -384,6 +384,7 @@ def _ziggurat_tables():
         x, exact = draw([idx | rabs << 9 for idx, rabs in chunk])
         if not exact or any(v != rabs * wi[idx] for v, (idx, rabs) in zip(x, chunk)):
             return None
+    wi.flags.writeable = lower.flags.writeable = False  # cached: shared by every caller
     return wi, lower
 
 
@@ -789,7 +790,7 @@ def _gain_moments(alpha, models, n_max, reps, seed, workers, last=False):
     """Moments of the gain columns n = 3..n_max at each (sigma, T) of models,
     all from one set of draws; the gain depends on the model (checked here)
     only through rho = alpha sqrt(2T)/sigma. With last, only the n = n_max
-    column is formed and reduced (read it as entry -1)."""
+    column is formed and reduced."""
     if n_max < 3:
         raise ValueError(f"need n >= 3, got {n_max}")
     rho = []
@@ -803,6 +804,13 @@ def _gain_moments(alpha, models, n_max, reps, seed, workers, last=False):
 
     worker = partial(_gain_block, seed=seed, n_max=n_max, rho=tuple(rho), last=last)
     return _run_blocks(worker, reps, workers)
+
+
+def _gain_report(alpha, sigma, T, n, reps, seed, workers, label):
+    """The RiskReport of the gain at n alone, the column the scalar gains
+    report."""
+    m = _gain_moments(alpha, [(sigma, T)], n, reps, seed, workers, last=True)[0]
+    return _report(m, seed, label, -1)
 
 
 def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
@@ -823,8 +831,7 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
     from x^{-3/2} to x^{-2}, so its variance is log-divergent rather than
     grossly infinite. The n >= 4 replicates, of finite variance, stay raw.
     """
-    formula = _report(_gain_moments(alpha, [(sigma, T)], n, reps, seed, workers, last=True)[0],
-                      seed, "gain-formula", -1)
+    formula = _gain_report(alpha, sigma, T, n, reps, seed, workers, "gain-formula")
     risk_difference = None
     if include_risk_difference:
         params = ModelParams(sigma=sigma, T=T, alpha=alpha)
@@ -868,8 +875,7 @@ def gain_large_sigma_limit(n, reps, seed, *, workers=1) -> RiskReport:
     Identical to the gain formula with the drift offsets removed, which is
     how it is evaluated here (same streams, rho = 0).
     """
-    m = _gain_moments(0.0, [(1.0, 1.0)], n, reps, seed, workers, last=True)[0]  # rho = 0
-    return _report(m, seed, "gain-large-sigma-limit", -1)
+    return _gain_report(0.0, 1.0, 1.0, n, reps, seed, workers, "gain-large-sigma-limit")
 
 
 def universal_constant(reps, seed, *, workers=1) -> RiskReport:
@@ -899,8 +905,7 @@ def gain_small_ratio_asymptote(alpha, sigma, T, n) -> float:
 def asymptotic_gain_check(n, reps, seed, *, alpha=1.0, sigma=1.0, T=1.0,
                           workers=1) -> RiskReport:
     """n pi^2 G / 6 with its stderr; tends to 1 as n grows (G ~ 6/(n pi^2))."""
-    rep = _report(_gain_moments(alpha, [(sigma, T)], n, reps, seed, workers, last=True)[0],
-                  seed, "asymptotic-gain-ratio", -1)
+    rep = _gain_report(alpha, sigma, T, n, reps, seed, workers, "asymptotic-gain-ratio")
     scale = n * math.pi**2 / 6.0
     return RiskReport(mean=scale * rep.mean, stderr=scale * rep.stderr,
                       reps=reps, seed=seed, label="asymptotic-gain-ratio")
