@@ -129,14 +129,14 @@ def _write(args, rows):
     *_, header, title, terms = _SUBCOMMANDS[args.subcommand]
     out = args.out
     columns = header.split(",")
-    lines = [header]
+    csv_lines = [header]
     for i, row in enumerate(rows, 1):
         for name, value in zip(columns, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} is {value} in row {i}; no output written")
-        lines.append(",".join(_fmt(v) for v in row))
+        csv_lines.append(",".join(_fmt(v) for v in row))
     with open(out, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(csv_lines) + "\n")
     lines = [
         "# companion plot script; render with: gnuplot -p " + out + ".plot.txt",
         'set datafile separator ","',
