@@ -13,10 +13,8 @@ from .estimators import (
     bayes_estimate,
     bayes_mse_decomposition,
     bayes_risk_closed_form,
-    correction_norm_sq,
     efficient_estimate,
     functional_coefficients,
-    laplacian_ratios,
     log_gradient_norm_sq,
     posterior_drift_curve,
     scaled_projection,
@@ -56,7 +54,6 @@ from .risk_engine import (
     IdentityRow,
     RiskReport,
     asymptotic_gain_check,
-    bias_norm,
     cramer_rao_bound,
     gain,
     gain_curve,
@@ -67,8 +64,6 @@ from .risk_engine import (
     mc_risk,
     optimal_n_search,
     sample_average_risk,
-    stein_risk_identity_check,
-    unbiased_risk_identity_check,
     universal_constant,
 )
 

@@ -17,8 +17,8 @@ for identical configuration, including the seed, and does not depend on
 --workers.
 
 Exit codes: 0 success, 1 invalid configuration (an arithmetic overflow
-included), 2 I/O failure, 3 degenerate sample, 4 identity-suite failure
-(each failing row on stderr).
+or a run too large for memory included), 2 I/O failure, 3 degenerate
+sample, 4 identity-suite failure (each failing row on stderr).
 """
 
 from __future__ import annotations
@@ -302,6 +302,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # e.g. an input near the float limit overflowing a closed form
         print(f"driftlab: invalid configuration: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"driftlab: invalid configuration: out of memory: {exc}", file=sys.stderr)
         return 1
     except DegenerateSampleError as exc:
         print(f"driftlab: {exc}", file=sys.stderr)

@@ -19,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .process_sim import (
-    DegenerateSampleError,
     DriftSpec,
-    ModelParams,
     PathSample,
     SineBasis,
-    TimeGrid,
     VolatilityProfile,
+    _check_nonzero,
     check_breakpoints,
     cumulative_trapezoid,
     drift_inner_products,
@@ -112,25 +110,40 @@ class CylindricalFunctional:
         return drift_inner_products(u, self.n, params) / lam
 
 
-def functional_coefficients(sample, u, fnl):
-    """Coefficient vector c_i = lambda_i^{-1} X^u(h_i) + b_i and its norm Dn.
+def stein_terms(eta, lam, b, a, start):
+    """The Stein family's coefficient kernel for a (count, n) block of noise
+    rows, replicate start first (one path is the row sample.eta[None, :n]).
 
-    With drift-matched offsets c_i = lambda_i^{-1} X(h_i), the observable
-    coefficients of the path.  Raises on the probability-zero event Dn = 0
-    rather than clamping, since clamping would bias every risk estimate
-    built on top.
+    Returns the coefficients c = eta/lam + b, their norms D = |c|^2 per row
+    and the log-gradient coefficients (a/D) c of D log F_{n,a,b}. A zero D,
+    an event of probability zero, raises DegenerateSampleError naming its
+    replicate rather than being clamped, since clamping would bias every
+    risk estimate built on top.
     """
+    c = eta / lam + b
+    dn = np.einsum("ij,ij->i", c, c)
+    _check_nonzero(dn, start, "functional denominator")
+    return c, dn, (a / dn)[:, None] * c
+
+
+def _sample_terms(sample, u, fnl):
+    """stein_terms of one sample's first n coefficients, as a one-row block."""
     params = sample.params
     if fnl.n > sample.n_basis:
         raise ValueError(f"functional needs {fnl.n} coefficients, sample has {sample.n_basis}")
     lam = SineBasis(params.sigma, params.T, fnl.n).eigenvalues()
-    c = sample.eta[: fnl.n] / lam + fnl.offsets(u, params)
-    dn = float(c @ c)
-    if dn == 0.0:
-        raise DegenerateSampleError(
-            "all functional coefficients vanished", replicate=sample.replicate_index
-        )
-    return c, dn
+    return stein_terms(sample.eta[None, : fnl.n], lam, fnl.offsets(u, params), fnl.a,
+                       sample.replicate_index)
+
+
+def functional_coefficients(sample, u, fnl):
+    """Coefficient vector c_i = lambda_i^{-1} X^u(h_i) + b_i and its norm Dn.
+
+    With drift-matched offsets c_i = lambda_i^{-1} X(h_i), the observable
+    coefficients of the path.
+    """
+    c, dn, _ = _sample_terms(sample, u, fnl)
+    return c[0], float(dn[0])
 
 
 def efficient_estimate(sample: PathSample) -> EstimateSeries:
@@ -222,9 +235,9 @@ def stein_correction(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctiona
     for a = 2-n this is the James-Stein form
     -(n-2) * proj(t) / ||proj||^2 applied to the scaled projection.
     """
-    c, dn = functional_coefficients(sample, u, fnl)
+    corr = _sample_terms(sample, u, fnl)[2]
     params = sample.params
-    values = SineBasis(params.sigma, params.T, fnl.n).synthesize(fnl.a * c / dn, sample.grid)
+    values = SineBasis(params.sigma, params.T, fnl.n).synthesize(corr[0], sample.grid)
     return EstimateSeries(values=values, label="stein-correction")
 
 
@@ -242,25 +255,6 @@ def stein_closed_forms(n, a, dn):
     per-replicate norms.
     """
     return a * (n + a - 2) / dn, (a * (n - 2 + a / 2) / 2) / dn, a * a / dn
-
-
-def laplacian_ratios(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional):
-    """Scalar closed forms (Delta F / F, Delta sqrt(F) / sqrt(F)).
-
-    Delta F / F = a (n + a - 2) / Dn vanishes at a = 2-n, where
-    Delta sqrt(F)/sqrt(F) = -(n-2)^2 / (4 Dn) is strictly negative.
-    """
-    _, dn = functional_coefficients(sample, u, fnl)
-    delta_f, delta_sqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
-    return delta_f, delta_sqrt
-
-
-def correction_norm_sq(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional) -> float:
-    """||D log F||^2_{L^2(dt)} = (n-2)^2 / Dn in the James-Stein case."""
-    if not fnl.is_james_stein:
-        raise ValueError("closed-form correction norm requires a = 2 - n")
-    _, dn = functional_coefficients(sample, u, fnl)
-    return (fnl.n - 2) ** 2 / dn
 
 
 def log_gradient_norm_sq(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional) -> float:

@@ -33,6 +33,15 @@ class DegenerateSampleError(RuntimeError):
         self.replicate = replicate
 
 
+def _check_nonzero(denom, start, label):
+    """Raise DegenerateSampleError naming the first replicate of the block
+    starting at start whose denominator is zero."""
+    zero = np.flatnonzero(denom == 0.0)
+    if zero.size:
+        bad = start + int(zero[0])
+        raise DegenerateSampleError(f"zero {label} at replicate {bad}", replicate=bad)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Scalar model constants: volatility sigma, horizon T, linear slope alpha."""

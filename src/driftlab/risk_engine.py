@@ -24,14 +24,20 @@ from functools import cache, partial
 
 import numpy as np
 
-from .estimators import BayesSpec, CylindricalFunctional, posterior_drift_curve, stein_closed_forms
+from .estimators import (
+    BayesSpec,
+    CylindricalFunctional,
+    posterior_drift_curve,
+    stein_closed_forms,
+    stein_terms,
+)
 from .process_sim import (
-    DegenerateSampleError,
     DriftSpec,
     ModelParams,
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    _check_nonzero,
     check_breakpoints,
     nested_integral,
     noise_stream,
@@ -497,15 +503,6 @@ def _report(moments, seed, label, j=()):
 _SUB_CHUNK = 64  # replicates (groups) drawn at once: bounds a block's arrays
 
 
-def _check_nonzero(denom, start, label):
-    """Raise DegenerateSampleError naming the first replicate of the block
-    starting at start whose denominator is zero."""
-    zero = np.flatnonzero(denom == 0.0)
-    if zero.size:
-        bad = start + int(zero[0])
-        raise DegenerateSampleError(f"zero {label} at replicate {bad}", replicate=bad)
-
-
 def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     # estimate - u = X - u = X^u = sum_k lambda_k eta_k e_k: the drift
     # cancels, and the L^2 risk is the coefficient sum sum_k (lambda_k eta_k)^2.
@@ -530,11 +527,8 @@ def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_
     # formed; the error coefficients below stay honest, so a scale != 1
     # breaks the pairing the identities rely on
     lam = SineBasis(sigma, T, n).eigenvalues() * lambda_scale
-    c = eta[:, :n] / lam + b
-    dn = np.einsum("ij,ij->i", c, c)
-    _check_nonzero(dn, start, "functional denominator")
     # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
-    corr = (a / dn)[:, None] * c
+    c, dn, corr = stein_terms(eta[:, :n], lam, b, a, start)
     err = eta  # in place: eta is not read again
     err *= SineBasis(sigma, T, n_basis).eigenvalues()
     err[:, :n] += corr
@@ -761,29 +755,6 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
         passed=bool(bias_sq <= grad.mean + 3.0 * grad.stderr),
     ))
     return IdentityReport(rows=tuple(rows), reps=reps, seed=seed, fnl=fnl)
-
-
-def unbiased_risk_identity_check(report: IdentityReport) -> IdentityRow:
-    """The paired check of risk = R + E||xi||^2 + 2 E[Delta log F] in report."""
-    if not report.fnl.is_superharmonic:
-        raise ValueError("exponent outside the superharmonic range [2-n, 0]")
-    return report.row("unbiased-risk")
-
-
-def stein_risk_identity_check(report: IdentityReport) -> tuple:
-    """The paired checks of risk = R + 4 E[Delta sqrt(F)/sqrt(F)] and of the
-    log-gradient variant R - E||D log F||^2 + 2 E[Delta F/F] in report."""
-    if not report.fnl.sqrt_is_superharmonic:
-        raise ValueError("exponent outside the sqrt-superharmonic range [4-2n, 0]")
-    return report.row("sqrt-laplacian-risk"), report.row("log-gradient-risk")
-
-
-def bias_norm(report: IdentityReport) -> IdentityRow:
-    """The bias-bound row of report: lhs ||E corr||^2, rhs the closed-form
-    bound E||D log F||^2, paired_stderr the bound's stderr."""
-    if not report.fnl.is_james_stein:
-        raise ValueError("bias bound is stated for a = 2 - n")
-    return report.row("bias-bound")
 
 
 def _gain_moments(alpha, models, n_max, reps, seed, workers, last=False):

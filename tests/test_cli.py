@@ -1,13 +1,17 @@
 import csv
 import hashlib
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftlab import ModelParams, cli, sample_average_risk
 
@@ -214,7 +218,7 @@ class TestOptimalN:
 # replaced by "OUT", at the acceptance criterion-10 sizes
 PINNED_BYTES = {
     "simulate": (["simulate", "--grid", "256", "--n-basis", "128", "--seed", "11"],
-                 "97e4279102a1f57cd3ab376631fbeb4e86e3b741edc6508044a2862d83e8bd79",
+                 "9738b96b2f88ad433fd262f9ced58548c0f3802fdb09f05a841bb6d113e271e0",
                  "cea8621d004d376346c4da7088072a457460d92586d4be62aed6945082fc7d77"),
     "gain-curve": (["gain-curve", "--n-max", "6", "--reps", "4000", "--seed", "11"],
                    "683c88b069f8bcd520043bbc6edeca8b6f162f6dafa646a93adbda9c9a80e3de",
@@ -411,6 +415,20 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "x.csv.plot.txt").exists()
 
+    def test_memory_error_exits_one_without_output(self, tmp_path, capsys, monkeypatch):
+        # optimal-n --n-max 1000000000 asks NumPy for 14.9 GiB and ended in a
+        # MemoryError traceback; the engine call raises it here instead
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+        monkeypatch.setattr(cli.risk_engine, "optimal_n_search", too_large)
+        out = tmp_path / "x.csv"
+        assert run(["optimal-n", "--n-max", "5", "--reps", "10", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("driftlab: invalid configuration: ")
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.plot.txt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["constant", "--reps", "100", "--T", "1"],
         ["gain-curve", "--n-max", "4", "--reps", "100", "--grid", "64"],
@@ -420,6 +438,68 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+
+# (moderate, extreme) values of each flag: sizes at most 16, --reps at most
+# 64, --workers 1 or 2 (each pooled run forks); an extreme value is tiny,
+# huge, zero or negative, and a seed at either end of its range or past it
+_MAGNITUDES = [1e-300, 1e-8, 1e8, 1e300]
+_FLOATS = (st.sampled_from([0.25, 1.0, 2.5]),
+           st.sampled_from([0.0, -1.0] + _MAGNITUDES + [-m for m in _MAGNITUDES]))
+_VALUES = {"reps": (st.integers(2, 64), st.integers(-2, 1)),
+           "workers": (st.integers(1, 2),) * 2,
+           "seed": (st.integers(0, 99), st.sampled_from([-1, 2**64 - 1, 2**64]))}
+_SIZES = (st.integers(3, 16), st.integers(-2, 2))
+
+
+@st.composite
+def argvs(draw, name):
+    """An argv of every flag the subcommand name reads, from the cli tables;
+    at most three of its flags, or the swept range, take extreme values."""
+    flags = cli._SUBCOMMANDS[name][2].split() + ["range"] * (name == "gain-surface")
+    extreme = draw(st.lists(st.sampled_from(flags), max_size=3))
+    argv = [name]
+    for flag in flags:
+        if flag == "range":
+            flag = draw(st.sampled_from(["T-range", "sigma-range"]))
+            values = draw(st.lists(_FLOATS["range" in extreme], min_size=1, max_size=3))
+            argv.append(f"--{flag}={','.join(map(repr, values))}")
+            continue
+        kind = _FLOATS if cli._FLAGS[flag][0] is cli._finite_float else _VALUES.get(flag, _SIZES)
+        value = draw(kind[flag in extreme])
+        argv.append(f"--{flag}={value!r}")  # "=" keeps a negative value a value
+    return argv
+
+
+def _number(field):
+    try:
+        return float(field)
+    except ValueError:
+        return None  # an identity row's name
+
+
+@pytest.mark.parametrize("name", sorted(cli._SUBCOMMANDS))
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_cleanly(name, data):
+    # main returns a documented code for any argv; a failed run writes
+    # nothing, and a successful one writes only finite numbers
+    argv = data.draw(argvs(name))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        with warnings.catch_warnings():
+            # NumPy warns on the way to an overflow; the outcome is under test
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(argv + ["--out", out])
+        assert code in (0, 1, 2, 3, 4)
+        written = [os.path.exists(path) for path in (out, out + ".plot.txt")]
+        if code in (1, 2, 3):
+            assert not any(written)
+        if code == 0:
+            assert all(written)
+            _, rows = read_rows(out)
+            numbers = [_number(field) for row in rows for field in row]
+            assert all(math.isfinite(x) for x in numbers if x is not None)
 
 
 class TestEntryPoint:

@@ -13,14 +13,13 @@ from driftlab import (
     bayes_estimate,
     bayes_mse_decomposition,
     bayes_risk_closed_form,
-    correction_norm_sq,
     efficient_estimate,
     functional_coefficients,
-    laplacian_ratios,
     log_gradient_norm_sq,
     observed_coefficient,
     observed_path,
     reconstruct_path,
+    risk_engine,
     scaled_projection,
     simulate_path,
     stein_correction,
@@ -129,6 +128,37 @@ class TestSteinCorrection:
         est = stein_estimate(s, U, fnl)
         np.testing.assert_array_equal(est.values, s.x + corr.values)
 
+    @pytest.mark.parametrize("n, a, b", [
+        (3, -0.5, None), (4, -1.0, None), (5, -4.0, None), (10, -3.5, None),
+        (3, -1.0, [0.3, -1.2, 2.0]), (4, -2.5, [1.0, 0.0, -0.5, 0.25]),
+        (5, 0.5, [-2.0, 1.0, 0.0, 3.0, -0.75]), (10, -8.0, np.linspace(-1.5, 2.0, 10)),
+    ])
+    def test_path_and_block_share_the_kernel(self, n, a, b):
+        # one replicate's correction is the synthesis of the risk engine's
+        # corr row for the same (seed, replicate), bit for bit
+        fnl = CylindricalFunctional(n=n, a=a, b=b)
+        seed, start, count = 41, 5, 8
+        block = risk_engine._stein_block(start, count, seed=seed, params=PARAMS, n_basis=16,
+                                         grid_m=16, fnl=fnl, b=fnl.offsets(U, PARAMS))
+        basis = SineBasis(PARAMS.sigma, PARAMS.T, n)
+        for i, corr in enumerate(block[-1]):
+            s = make_sample(seed=seed, replicate=start + i, n_basis=16)
+            values = stein_correction(s, U, fnl).values
+            assert values.tobytes() == basis.synthesize(corr, GRID).tobytes()
+
+    def test_estimate_within_rounding_of_the_quotient_formula(self):
+        # the kernel forms (a/Dn) c with a row-wise einsum norm; the former
+        # a c/(c @ c) differs from it only in the last bits
+        for fnl in (CylindricalFunctional(n=4, a=-2.0), CylindricalFunctional(n=7, a=-3.0)):
+            basis = SineBasis(PARAMS.sigma, PARAMS.T, fnl.n)
+            lam = basis.eigenvalues()
+            for rep in range(120):
+                s = make_sample(seed=12, replicate=rep, n_basis=16)
+                c = s.eta[: fnl.n] / lam + fnl.offsets(U, PARAMS)
+                ref = s.x + basis.synthesize(fnl.a * c / float(c @ c), GRID)
+                est = stein_estimate(s, U, fnl).values
+                assert np.max(np.abs(est - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_james_stein_quotient_form(self):
         # -(n-2) proj / ||proj||^2 with the quadrature norm of the scaled
         # projection: same curve to 1e-10
@@ -149,14 +179,9 @@ class TestSteinCorrection:
             s = make_sample(seed=17, replicate=rep, n_basis=16)
             corr = stein_correction(s, U, fnl).values
             quad = float((corr * corr) @ w)
-            closed = correction_norm_sq(s, U, fnl)
+            closed = log_gradient_norm_sq(s, U, fnl)
             worst = max(worst, abs(quad / closed - 1.0))
         assert worst < 1e-6
-
-    def test_norm_requires_james_stein_exponent(self):
-        s = make_sample()
-        with pytest.raises(ValueError):
-            correction_norm_sq(s, U, CylindricalFunctional(n=4, a=-1.0))
 
     def test_correction_from_quadrature_coefficients(self):
         # rebuilding the coefficients from left-point quadrature of dX
@@ -183,8 +208,8 @@ class TestLaplacianRatios:
         s = sample_with_eta(eta, u=DriftSpec.zero())
         fnl = CylindricalFunctional(n=4, a=-2.0, b=np.zeros(4))
         # single coefficient 2 -> Dn = 4
-        assert correction_norm_sq(s, DriftSpec.zero(), fnl) == 1.0
-        df, dsqrt = laplacian_ratios(s, DriftSpec.zero(), fnl)
+        dn = functional_coefficients(s, DriftSpec.zero(), fnl)[1]
+        df, dsqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
         assert df == 0.0
         assert dsqrt == -0.25
         assert log_gradient_norm_sq(s, DriftSpec.zero(), fnl) == 1.0
@@ -194,14 +219,15 @@ class TestLaplacianRatios:
         eta[0] = SineBasis(PARAMS.sigma, PARAMS.T, 1).eigenvalues()[0]
         s = sample_with_eta(eta, u=DriftSpec.zero())
         fnl = CylindricalFunctional(n=3, a=-1.0, b=np.zeros(3))
-        assert correction_norm_sq(s, DriftSpec.zero(), fnl) == 1.0
+        assert log_gradient_norm_sq(s, DriftSpec.zero(), fnl) == 1.0
 
     def test_superharmonic_signs(self):
         for rep in range(200):
             s = make_sample(seed=77, replicate=rep, n_basis=16)
             for a in (-2.0, -1.0, -3.9):
                 fnl = CylindricalFunctional(n=4, a=a)
-                df, dsqrt = laplacian_ratios(s, U, fnl)
+                dn = functional_coefficients(s, U, fnl)[1]
+                df, dsqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
                 assert dsqrt < 0.0  # a in (4-2n, 0)
                 if a >= -2.0:
                     assert df <= 0.0  # a in [2-n, 0]
@@ -212,7 +238,8 @@ class TestLaplacianRatios:
             s = make_sample(seed=13, replicate=rep, n_basis=16)
             for a in (-2.0, -1.3, -3.5, 0.0):
                 fnl = CylindricalFunctional(n=5, a=a)
-                df, dsqrt = laplacian_ratios(s, U, fnl)
+                dn = functional_coefficients(s, U, fnl)[1]
+                df, dsqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
                 grad = log_gradient_norm_sq(s, U, fnl)
                 assert abs(4.0 * dsqrt - (2.0 * df - grad)) < 1e-12
 

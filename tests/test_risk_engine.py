@@ -14,7 +14,6 @@ from driftlab import (
     DriftSpec,
     GainCurve,
     GainPoint,
-    IdentityReport,
     IdentityRow,
     ModelParams,
     RiskReport,
@@ -24,7 +23,6 @@ from driftlab import (
     asymptotic_gain_check,
     bayes_mse_decomposition,
     bayes_risk_closed_form,
-    bias_norm,
     cli,
     cramer_rao_bound,
     gain,
@@ -39,8 +37,6 @@ from driftlab import (
     sample_average_risk,
     simulate_path,
     stein_estimate,
-    stein_risk_identity_check,
-    unbiased_risk_identity_check,
     risk_engine,
     universal_constant,
 )
@@ -583,45 +579,26 @@ class TestIdentitySuite:
             assert (r1.lhs, r1.rhs, r1.paired_stderr) == (r2.lhs, r2.rhs, r2.paired_stderr)
 
 
-class TestIdentityWrappers:
-    def test_unbiased_check_returns_single_row(self):
+class TestIdentityReportRows:
+    def test_unbiased_row_passes(self):
         report = identity_suite(JS4, U, PARAMS, 8_000, 3, grid_m=256, n_basis=64)
-        row = unbiased_risk_identity_check(report)
-        assert row is report.row("unbiased-risk")
+        row = report.row("unbiased-risk")
+        assert row.name == "unbiased-risk"
         assert row.passed
 
-    def test_stein_check_returns_both_forms(self):
+    def test_both_stein_forms_pass(self):
         report = identity_suite(JS4, U, PARAMS, 8_000, 3, grid_m=256, n_basis=64)
-        rows = stein_risk_identity_check(report)
+        rows = [report.row(name) for name in ("sqrt-laplacian-risk", "log-gradient-risk")]
         assert [row.name for row in rows] == [
             "sqrt-laplacian-risk", "log-gradient-risk"
         ]
         assert all(row.passed for row in rows)
 
-    def test_checks_read_the_report_and_draw_nothing(self, monkeypatch):
-        report = identity_suite(JS4, U, PARAMS, 2_000, 3, grid_m=64, n_basis=16)
-
-        def no_draws(*args, **kwargs):
-            raise AssertionError("an identity check ran replicates")
-
-        monkeypatch.setattr(risk_engine, "_run_blocks", no_draws)
-        assert unbiased_risk_identity_check(report) is report.row("unbiased-risk")
-        assert stein_risk_identity_check(report)[0] is report.row("sqrt-laplacian-risk")
-        assert bias_norm(report) is report.row("bias-bound")
-
-    def test_exponent_range_enforced(self):
-        # checked on the functional the report was computed for
-        for fnl, check in ((CylindricalFunctional(n=4, a=-3.0), unbiased_risk_identity_check),
-                           (CylindricalFunctional(n=4, a=-4.5), stein_risk_identity_check)):
-            report = identity_suite(fnl, U, PARAMS, 100, 0, grid_m=64, n_basis=16)
-            assert report.fnl is fnl
-            with pytest.raises(ValueError):
-                check(report)
-
     def test_zero_exponent_reduces_to_the_bound(self):
         fnl = CylindricalFunctional(n=4, a=0.0)
-        row = unbiased_risk_identity_check(
-            identity_suite(fnl, U, PARAMS, 4_000, 5, grid_m=256, n_basis=64))
+        report = identity_suite(fnl, U, PARAMS, 4_000, 5, grid_m=256, n_basis=64)
+        assert report.fnl is fnl  # the report records the functional it was computed for
+        row = report.row("unbiased-risk")
         assert abs(row.rhs - 0.5) < 1e-10  # RHS collapses to R exactly
         assert row.passed
 
@@ -815,7 +792,8 @@ class TestAsymptotics:
 
 class TestBiasNorm:
     def test_bound_holds_and_is_strict(self):
-        row = bias_norm(identity_suite(JS4, U, PARAMS, 20_000, 29, grid_m=512, n_basis=128))
+        report = identity_suite(JS4, U, PARAMS, 20_000, 29, grid_m=512, n_basis=128)
+        row = report.row("bias-bound")
         assert row.lhs <= row.rhs + 3 * row.paired_stderr
         # Jensen gap: ||E xi||^2 strictly below E ||xi||^2
         assert row.lhs < row.rhs - 3 * row.paired_stderr
@@ -823,15 +801,9 @@ class TestBiasNorm:
     def test_zero_drift_zero_offsets_kills_the_bias(self):
         # odd symmetry of the correction under eta -> -eta
         fnl = CylindricalFunctional(n=4, a=-2.0, b=np.zeros(4))
-        row = bias_norm(identity_suite(fnl, DriftSpec.zero(), PARAMS, 20_000, 29,
-                                       grid_m=512, n_basis=128))
+        row = identity_suite(fnl, DriftSpec.zero(), PARAMS, 20_000, 29,
+                             grid_m=512, n_basis=128).row("bias-bound")
         assert row.lhs < row.rhs / 100.0
-
-    def test_requires_james_stein_exponent(self):
-        report = IdentityReport(rows=(), reps=2, seed=0,
-                                fnl=CylindricalFunctional(n=4, a=-1.0))
-        with pytest.raises(ValueError):
-            bias_norm(report)
 
 
 class TestReportTypes:
