@@ -42,7 +42,6 @@ from .process_sim import (
     observed_coefficient,
     observed_path,
     reconstruct_path,
-    simulate_noise,
     simulate_path,
     stieltjes_cumulative,
 )

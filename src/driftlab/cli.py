@@ -81,7 +81,8 @@ _FLAGS = {
     "seed": (int, 0, "stream seed"),
     "n-basis": (_positive_int, 1024, "expansion length"),
     "grid": (_positive_int, 2048, "grid intervals"),
-    "workers": (_positive_int, 1, "worker processes, at most one per CPU"),
+    "workers": (_positive_int, 1,
+                "worker processes, at most one per CPU (simulate and filter use one process)"),
     "n": (int, 4, "functional dimension"),
     "a": (_finite_float, None, "exponent (default 2-n)"),
     "n-max": (int, 10, "largest n"),

@@ -6,21 +6,17 @@ from (seed, reps, grid, n_basis) regardless of the worker count.
 
 SciPy's Faddeeva function, which only the n = 3 gain column needs, is loaded
 by `_gain_moments` in the calling process, before any pool forks, so the
-workers inherit it and importing driftlab loads no SciPy.
-
-Narrow noise blocks are drawn in array form from NumPy's ziggurat tables,
-which are probed at their first use (`_array_tables`), not at import;
-`_run_blocks` builds them before a pool forks, for the same reason.
+workers inherit it and importing driftlab loads no SciPy. `_run_blocks`
+builds the noise tables (`process_sim._array_tables`) there for the same reason.
 """
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -37,10 +33,12 @@ from .process_sim import (
     SineBasis,
     TimeGrid,
     VolatilityProfile,
+    _array_tables,
     _check_nonzero,
+    _noise_block,
     check_breakpoints,
     nested_integral,
-    noise_stream,
+    noise_stream,  # noqa: F401 (not called here: perfbench/spans.py wraps this name)
 )
 
 # block size fixed: the replicate partition must not depend on workers
@@ -158,267 +156,6 @@ def cramer_rao_bound(sigma_profile, T) -> float:
     if not isinstance(sigma_profile, VolatilityProfile):
         sigma_profile = VolatilityProfile.constant(sigma_profile)
     return nested_integral(lambda sig: sig**2, T, sigma_profile)
-
-
-class _PhiloxHead(ctypes.Structure):
-    # the leading fields of NumPy's philox_state, at bit_generator.ctypes.state_address
-    _fields_ = [("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
-
-
-_Counter = ctypes.c_uint64 * 4
-_Key = ctypes.c_uint64 * 2
-
-
-def _at(ctype, addr):
-    """A ctypes view of the memory at addr; every read of a bit generator's
-    state goes through here."""
-    return ctype.from_address(addr)
-
-
-def _philox_words(bg, seed, start):
-    """Views of the words that re-key bg for another replicate: key[1], the
-    counter and the head holding buffer_pos. bg must be a fresh Philox keyed
-    by (seed, start).
-
-    The views rely on NumPy's private philox_state layout, so it is checked
-    first, and None is returned when any check fails. The state address and
-    both pointers in it must lie inside the bit generator object, checked
-    before each is read. The key read through them must be (seed, start),
-    with a zero counter and an empty buffer (buffer_pos 4). And a write
-    through the views must read back through bg.state as that counter and
-    buffer_pos; the written words are then restored.
-    """
-    if not isinstance(bg, np.random.Philox):
-        return None
-    lo = id(bg)
-    hi = lo + type(bg).__basicsize__
-
-    def inside(addr, ctype):
-        return addr is not None and lo <= addr <= hi - ctypes.sizeof(ctype)
-
-    addr = bg.ctypes.state_address
-    if not inside(addr, _PhiloxHead):
-        return None
-    head = _at(_PhiloxHead, addr)
-    if not (inside(head.ctr, _Counter) and inside(head.key, _Key)):
-        return None
-    ctr, key = _at(_Counter, head.ctr), _at(_Key, head.key)
-    if tuple(key) != (seed, start) or any(ctr) or head.buffer_pos != 4:
-        return None
-    ctr[:], head.buffer_pos = (1, 2, 3, 4), 1
-    state = bg.state
-    ctr[:], head.buffer_pos = (0, 0, 0, 0), 4
-    if state["state"]["counter"].tolist() != [1, 2, 3, 4] or state["buffer_pos"] != 1:
-        return None
-    return _at(ctypes.c_uint64, head.key + 8), ctr, head
-
-
-# Narrow blocks of many rows are drawn in array form: every row's Philox
-# words at once, then NumPy's ziggurat fast path on all of them. The cut-overs
-# are measured (CHANGES.md): wider or shorter blocks draw faster one row at a
-# time.
-_ARRAY_MAX_DIM = 12
-_ARRAY_MIN_ROWS = 512
-# how far below the ratio of strip widths the ki bound is put: far more than
-# the ratio's rounding
-_KI_MARGIN = 16
-
-# Philox4x64-10 (Salmon et al., SC'11) as NumPy computes it: the round
-# multipliers and the key bumps
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-
-
-def _noise_block(seed, start, count, dim):
-    """Rows start..start+count-1 of seed's replicates, as a new (count, dim)
-    array: row i is noise_stream(seed, start + i).standard_normal(dim), bit
-    for bit.
-
-    A narrow block of many rows (dim <= _ARRAY_MAX_DIM, count >=
-    _ARRAY_MIN_ROWS) is drawn in array form by _array_rows, when
-    _array_tables has its tables; the rows it leaves, and every row of any
-    other block, are drawn by _rekeyed_rows.
-    """
-    # before any write: a c_uint64 key word would wrap silently
-    if start + count - 1 >= 2**64:
-        raise ValueError("replicate index must fit an unsigned 64-bit integer")
-    out = np.empty((count, dim))
-    rows = range(count)
-    if count >= _ARRAY_MIN_ROWS and dim <= _ARRAY_MAX_DIM:
-        tables = _array_tables()
-        if tables is not None:
-            rows = _array_rows(out, _philox_block(seed, start, count, -(-dim // 4)), tables)
-    _rekeyed_rows(out, seed, start, rows)
-    return out
-
-
-def _rekeyed_rows(out, seed, start, rows):
-    """Draw each row i in rows (a sequence of indices of out) as
-    noise_stream(seed, start + i).standard_normal(out.shape[1]).
-
-    One Generator serves them all. Per row its Philox is re-keyed in place:
-    key[1] is set to start + i, the four counter words to zero and
-    buffer_pos to 4 (empty buffer), through the views _philox_words finds
-    once per call. That is the state of a fresh noise_stream(seed, start + i),
-    so no stream is built per row. When the layout check declines, each row
-    is drawn from its own noise_stream(seed, start + i), the definition
-    itself: slower, the same bits.
-    """
-    if not rows:
-        return
-    first = start + rows[0]
-    gen = noise_stream(seed, first)
-    # a tuple size skips NumPy's slower check of an int size against out
-    normal, shape = gen.standard_normal, out.shape[1:]
-    words = _philox_words(gen.bit_generator, seed, first)
-    if words is None:  # another layout: one stream per row
-        for i in rows:
-            noise_stream(seed, start + i).standard_normal(shape, out=out[i])
-        return
-    key1, ctr, head = words
-    for i in rows:
-        key1.value = start + i
-        ctr[:] = (0, 0, 0, 0)
-        head.buffer_pos = 4
-        normal(shape, out=out[i])
-
-
-def _mulhilo(m, x):
-    """Low and high words of m * x for a constant m < 2^64 and a uint64
-    array x; the high word is built from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x_lo, x_hi = x & _LOW, x >> _HALF
-    cross = x_lo * m_hi
-    x_lo *= m_lo
-    x_lo >>= _HALF
-    cross += x_lo                # x_lo m_hi + carry of x_lo m_lo: no wrap
-    mid = x_hi * m_lo
-    mid += cross & _LOW          # no wrap either
-    x_hi *= m_hi
-    x_hi += cross >> _HALF
-    x_hi += mid >> _HALF
-    return x * np.uint64(m), x_hi
-
-
-def _philox_block(seed, start, count, blocks):
-    """Philox4x64-10 words of the rows keyed (seed, start + i), i < count, at
-    counters 1..blocks, as a (count, 4 * blocks) uint64 array: row i is
-    Philox(key=(seed, start + i)).random_raw(4 * blocks).
-
-    Every value is a uint64 array, so the key bumps wrap without NumPy's
-    scalar overflow warning. The counter (c, 0, 0, 0) and the shared key
-    word broadcast, so the first two rounds work on part-size arrays.
-    """
-    key0 = np.full((1, 1), seed, dtype=np.uint64)
-    key1 = (np.arange(count, dtype=np.uint64) + np.uint64(start))[:, None]
-    zero = np.zeros((1, 1), dtype=np.uint64)
-    v0, v1, v2, v3 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero
-    for r in range(10):
-        if r:
-            key0 += np.uint64(_PHILOX_W[0])
-            key1 += np.uint64(_PHILOX_W[1])
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], v0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], v2)
-        hi1 ^= v1
-        hi1 ^= key0
-        v0, v1, v2, v3 = hi1, lo1, hi0 ^ v3 ^ key1, lo0
-    words = np.stack(np.broadcast_arrays(v0, v1, v2, v3), axis=-1)
-    return words.reshape(count, 4 * blocks)
-
-
-def _array_rows(out, words, tables):
-    """Fill out's rows from their Philox words (a row's words first) and
-    return the indices of the rows left for _rekeyed_rows.
-
-    A row's normals take one Philox word each while NumPy's ziggurat stays
-    on its fast path: bits 0-7 of the word pick the strip idx, bit 8 is the
-    sign and bits 9-60 the magnitude rabs, and the normal is +-rabs wi[idx]
-    when rabs < ki[idx]. A row with a word at or past the known bound of
-    ki[idx] would draw more words, so it is left to be redrawn whole.
-    """
-    wi, lower = tables
-    words = words[:, :out.shape[1]]
-    strip = (words & 0xFF).astype(np.intp)
-    rabs = (words >> 9) & (2**52 - 1)
-    np.multiply(rabs, wi[strip], out=out)
-    np.negative(out, out=out, where=(words & 0x100).astype(bool))
-    return np.flatnonzero((rabs >= lower[strip]).any(axis=1)).tolist()
-
-
-def _ziggurat_tables():
-    """NumPy's standard-normal ziggurat tables as the array path needs them:
-    wi, and for each strip a lower bound of ki (0: the word always leaves
-    the fast path). None when a probe does not behave as the fast path.
-
-    The tables are read from NumPy itself. Chosen words go into a Philox's
-    public buffer, and a draw from exactly those words, with the counter
-    untouched, is a fast-path draw. With rabs = 1 the draw is wi[idx]. The
-    bound of ki[idx] is the ratio of neighbouring strip widths times 2^52,
-    which the ziggurat's construction makes ki, less a margin; it is trusted
-    only after a word with rabs one below it is drawn on the fast path.
-    """
-    bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    normal = np.random.Generator(bg).standard_normal
-    state = bg.state
-
-    def draw(words):
-        # one normal per word (at most four), and whether they read exactly
-        # those words
-        state["buffer"] = np.array([0] * (4 - len(words)) + words, dtype=np.uint64)
-        state["buffer_pos"] = 4 - len(words)
-        bg.state = state
-        x = normal(len(words))
-        after = bg.state
-        return x, after["buffer_pos"] == 4 and after["state"]["counter"][0] == 0
-
-    wi = np.empty(256)
-    on_fast_path = np.ones(256, dtype=bool)
-    for group in range(0, 256, 4):
-        wi[group:group + 4], exact = draw([idx | 1 << 9 for idx in range(group, group + 4)])
-        if not exact:  # one of them left the fast path
-            for idx in range(group, group + 4):
-                (wi[idx],), on_fast_path[idx] = draw([idx | 1 << 9])
-    # strip 0 is the base strip, whose ratio is r = x_255 over its width
-    ratio = np.concatenate([wi[-1:] / wi[:1], wi[:-1] / wi[1:]])
-    bound = np.floor(ratio * 2.0**52) - _KI_MARGIN
-    lower = np.where(on_fast_path & (bound >= 1), bound, 0).astype(np.uint64)
-    probes = [(idx, int(lower[idx]) - 1) for idx in np.flatnonzero(lower).tolist()]
-    for k in range(0, len(probes), 4):
-        chunk = probes[k:k + 4]
-        x, exact = draw([idx | rabs << 9 for idx, rabs in chunk])
-        if not exact or any(v != rabs * wi[idx] for v, (idx, rabs) in zip(x, chunk)):
-            return None
-    wi.flags.writeable = lower.flags.writeable = False  # cached: shared by every caller
-    return wi, lower
-
-
-@cache
-def _array_tables():
-    """The tables of the array path, built once per process at its first
-    use, or None when the path declines: a table probe failed, or the path
-    did not reproduce Philox.random_raw and noise_stream on a probe block.
-    Then _rekeyed_rows draws every row, the same rule as for _philox_words.
-    """
-    tables = _ziggurat_tables()
-    return tables if tables is not None and _array_path_agrees(tables) else None
-
-
-def _array_path_agrees(tables):
-    """Whether the array path gives the definition's words and normals on a
-    probe block three counters wide whose key words wrap in the key bumps."""
-    seed, start, count, dim = 2**64 - 1, 2**64 - 8, 8, 12
-    words = _philox_block(seed, start, count, 3)
-    raw = [np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64)).random_raw(dim)
-           for i in range(count)]
-    if not np.array_equal(words, raw):
-        return False
-    out = np.empty((count, dim))
-    redo = _array_rows(out, words, tables)
-    return len(redo) < count and all(
-        out[i].tobytes() == noise_stream(seed, start + i).standard_normal(dim).tobytes()
-        for i in range(count) if i not in redo)
 
 
 @dataclass(frozen=True)

@@ -429,6 +429,22 @@ class TestExitCodes:
         assert not out.exists()
         assert not (tmp_path / "x.csv.plot.txt").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("argv", [
+        ["constant", "--reps", "600"],
+        ["gain-curve", "--n-max", "4", "--reps", "4096"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_outside_the_key_range_exits_one_without_output(self, tmp_path, capsys,
+                                                                 argv, seed):
+        # blocks of 512 rows or more and at most 12 normals a row take the
+        # array path, which ended in NumPy's OverflowError for these seeds
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--seed", seed, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "driftlab: invalid configuration: seed must fit an unsigned 64-bit integer\n"
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.plot.txt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["constant", "--reps", "100", "--T", "1"],
         ["gain-curve", "--n-max", "4", "--reps", "100", "--grid", "64"],

@@ -1,12 +1,15 @@
 """Importing driftlab loads NumPy and no SciPy module, and probes no noise
 tables. Each SciPy function is loaded at its first use, and the gain engine
 loads scipy.special, and the block runner the noise tables, in the calling
-process before a pool forks, so the workers inherit them."""
+process before a pool forks, so the workers inherit them. Only process_sim,
+the home of the noise layer, imports ctypes."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +97,19 @@ def test_pool_workers_inherit_scipy_special(tmp_path):
 def test_pool_workers_inherit_noise_tables(tmp_path):
     # the 1024-row tasks of 5 normals a row take the array path
     assert_workers_inherit(tmp_path, "risk_engine._array_tables.cache_info().currsize == 1")
+
+
+def test_only_the_noise_layer_imports_ctypes():
+    # the ctypes views of NumPy's Philox state belong to process_sim's block layer
+    importers = set()
+    for path in Path(SRC, "driftlab").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "ctypes" for name in names):
+                importers.add(path.stem)
+    assert importers == {"process_sim"}

@@ -27,7 +27,6 @@ from driftlab import (
     reconstruct_path,
     risk_engine,
     scalar_path_filter,
-    simulate_noise,
     simulate_path,
     stieltjes_cumulative,
 )
@@ -320,8 +319,8 @@ class TestNoiseStreams:
         with pytest.raises(ValueError):
             noise_stream(0, 2**64)
 
-    def test_simulate_noise_shape(self):
-        eta = simulate_noise(1, 2, 32)
+    def test_simulated_path_draws_its_stream(self):
+        eta = simulate_path(1, 2, DriftSpec.zero(), PARAMS, TimeGrid(16, 1.0), 32).eta
         assert eta.shape == (32,)
         np.testing.assert_array_equal(eta, noise_stream(1, 2).standard_normal(32))
 
@@ -339,7 +338,7 @@ class TestPathConstruction:
         # one sine transform of M values: the 1024 x 8193 matrix of the
         # mode-by-node product would take about 67 MB
         grid = TimeGrid(8192, 1.0)
-        eta = simulate_noise(5, 0, 1024)
+        eta = noise_stream(5, 0).standard_normal(1024)
         tracemalloc.start()
         try:
             reconstruct_path(eta, grid, PARAMS)
@@ -382,7 +381,7 @@ class TestPathConstruction:
         acc = 0.0
         reps = 4000
         for rep in range(reps):
-            eta = simulate_noise(12, rep, n)
+            eta = noise_stream(12, rep).standard_normal(n)
             acc += reconstruct_path(eta, grid, PARAMS)[-1] ** 2
         mc = acc / reps
         # fourth-moment stderr of the variance estimate

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from driftlab import (BayesSpec, CylindricalFunctional, DriftSpec, ModelParams, SineBasis,
                       TimeGrid, gain_curve, identity_suite, mc_risk, noise_stream,
                       stieltjes_cumulative)
-from driftlab import risk_engine
-from driftlab.risk_engine import _BLOCK, _noise_block
+from driftlab import process_sim
+from driftlab.process_sim import _noise_block
+from driftlab.risk_engine import _BLOCK
 
 U64 = 2**64
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
@@ -25,7 +26,7 @@ REKEY_PATHS = pytest.mark.parametrize(
     "rekey", ["pointer", "declined", "array", "array-fallback", "array-declined"])
 
 
-def doubled_widths(probe=risk_engine._ziggurat_tables):
+def doubled_widths(probe=process_sim._ziggurat_tables):
     wi, lower = probe()
     return wi * 2.0, lower
 
@@ -33,18 +34,18 @@ def doubled_widths(probe=risk_engine._ziggurat_tables):
 @contextmanager
 def rekeyed(path):
     # the tables are cached per process: rebuilt around a run that patches them
-    tables = risk_engine._array_tables
+    tables = process_sim._array_tables
     with pytest.MonkeyPatch.context() as mp:
         if path == "declined":
-            mp.setattr(risk_engine, "_philox_words", lambda bg, seed, start: None)
+            mp.setattr(process_sim, "_philox_words", lambda bg, seed, start: None)
         if path.startswith("array"):
-            mp.setattr(risk_engine, "_ARRAY_MIN_ROWS", 1)
-            mp.setattr(risk_engine, "_ARRAY_MAX_DIM", 24)
+            mp.setattr(process_sim, "_ARRAY_MIN_ROWS", 1)
+            mp.setattr(process_sim, "_ARRAY_MAX_DIM", 24)
         if path == "array-fallback":
             wi, lower = tables()
-            mp.setattr(risk_engine, "_array_tables", lambda: (wi, np.zeros_like(lower)))
+            mp.setattr(process_sim, "_array_tables", lambda: (wi, np.zeros_like(lower)))
         if path == "array-declined":
-            mp.setattr(risk_engine, "_ziggurat_tables", doubled_widths)
+            mp.setattr(process_sim, "_ziggurat_tables", doubled_widths)
             tables.cache_clear()
         try:
             yield
@@ -124,14 +125,14 @@ def test_philox_block_is_random_raw(block, blocks):
     seed, start, count, _ = block
     expected = [np.random.Philox(key=np.array([seed, start + i], dtype=np.uint64))
                 .random_raw(4 * blocks) for i in range(count)]
-    np.testing.assert_array_equal(risk_engine._philox_block(seed, start, count, blocks),
+    np.testing.assert_array_equal(process_sim._philox_block(seed, start, count, blocks),
                                   expected)
 
 
 def test_array_path_is_live():
     # this NumPy's tables pass the probes and the self-check, and nearly every
     # strip has a bound (on NumPy 2.4 all but strip 1, whose ki is 0)
-    wi, lower = risk_engine._array_tables()
+    wi, lower = process_sim._array_tables()
     assert np.all(wi > 0) and np.count_nonzero(lower) >= 250
 
 
@@ -139,12 +140,12 @@ def test_array_path_is_live():
                          ids=["probe-fails", "wrong-widths"])
 def test_array_path_declines(tables):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(risk_engine, "_ziggurat_tables", tables)
-        risk_engine._array_tables.cache_clear()
+        mp.setattr(process_sim, "_ziggurat_tables", tables)
+        process_sim._array_tables.cache_clear()
         try:
-            assert risk_engine._array_tables() is None
+            assert process_sim._array_tables() is None
         finally:
-            risk_engine._array_tables.cache_clear()
+            process_sim._array_tables.cache_clear()
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)

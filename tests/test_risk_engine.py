@@ -34,6 +34,7 @@ from driftlab import (
     mc_risk,
     noise_stream,
     optimal_n_search,
+    process_sim,
     sample_average_risk,
     simulate_path,
     stein_estimate,
@@ -307,12 +308,12 @@ class TestPhiloxProbe:
         def at(ctype, addr):
             assert lo <= addr <= hi - ctypes.sizeof(ctype), "read outside the bit generator"
             seen.append(ctype)
-            if head is not None and ctype is risk_engine._PhiloxHead:
+            if head is not None and ctype is process_sim._PhiloxHead:
                 return head
             return real(ctype, addr)
 
-        real = risk_engine._at
-        monkeypatch.setattr(risk_engine, "_at", at)
+        real = process_sim._at
+        monkeypatch.setattr(process_sim, "_at", at)
         return seen
 
     @staticmethod
@@ -325,7 +326,7 @@ class TestPhiloxProbe:
         # row in every block: fail here, not only in a benchmark
         gen = noise_stream(7, 2**64 - 1)
         seen = self.record_reads(monkeypatch, gen.bit_generator)
-        assert risk_engine._philox_words(gen.bit_generator, 7, 2**64 - 1) is not None
+        assert process_sim._philox_words(gen.bit_generator, 7, 2**64 - 1) is not None
         assert len(seen) == 4  # the head, the counter, the key and key[1]
         self.assert_untouched(gen, 7, 2**64 - 1)
 
@@ -333,7 +334,7 @@ class TestPhiloxProbe:
     def test_declines_another_key(self, monkeypatch, seed, start):
         gen = noise_stream(7, 100)
         self.record_reads(monkeypatch, gen.bit_generator)
-        assert risk_engine._philox_words(gen.bit_generator, seed, start) is None
+        assert process_sim._philox_words(gen.bit_generator, seed, start) is None
         self.assert_untouched(gen, 7, 100)
 
     @pytest.mark.parametrize("advance", ["draw", "advance", "full-buffer"])
@@ -346,7 +347,7 @@ class TestPhiloxProbe:
         else:
             gen.bit_generator.random_raw()  # a counter of 1 and three words buffered
         self.record_reads(monkeypatch, gen.bit_generator)
-        assert risk_engine._philox_words(gen.bit_generator, 7, 100) is None
+        assert process_sim._philox_words(gen.bit_generator, 7, 100) is None
 
     @pytest.mark.parametrize("field", ["ctr", "key"])
     def test_declines_a_pointer_outside_the_object(self, monkeypatch, field):
@@ -354,12 +355,12 @@ class TestPhiloxProbe:
         # is checked before it is read through
         gen = noise_stream(7, 100)
         bg = gen.bit_generator
-        real = risk_engine._PhiloxHead.from_address(bg.ctypes.state_address)
-        head = risk_engine._PhiloxHead(real.ctr, real.key, real.buffer_pos)
+        real = process_sim._PhiloxHead.from_address(bg.ctypes.state_address)
+        head = process_sim._PhiloxHead(real.ctr, real.key, real.buffer_pos)
         setattr(head, field, id(bg) + type(bg).__basicsize__)
         seen = self.record_reads(monkeypatch, bg, head)
-        assert risk_engine._philox_words(bg, 7, 100) is None
-        assert seen == [risk_engine._PhiloxHead]
+        assert process_sim._philox_words(bg, 7, 100) is None
+        assert seen == [process_sim._PhiloxHead]
         self.assert_untouched(gen, 7, 100)
 
     def test_declines_a_counter_that_is_not_read_back(self, monkeypatch):
@@ -367,17 +368,17 @@ class TestPhiloxProbe:
         # write read back through bit_generator.state exposes it
         gen = noise_stream(7, 100)
         bg = gen.bit_generator
-        real = risk_engine._PhiloxHead.from_address(bg.ctypes.state_address)
-        head = risk_engine._PhiloxHead(bg.ctypes.state_address + ctypes.sizeof(real),
+        real = process_sim._PhiloxHead.from_address(bg.ctypes.state_address)
+        head = process_sim._PhiloxHead(bg.ctypes.state_address + ctypes.sizeof(real),
                                        real.key, real.buffer_pos)
         self.record_reads(monkeypatch, bg, head)
-        assert risk_engine._philox_words(bg, 7, 100) is None
+        assert process_sim._philox_words(bg, 7, 100) is None
         self.assert_untouched(gen, 7, 100)
 
     def test_declines_another_bit_generator(self, monkeypatch):
         gen = np.random.Generator(np.random.PCG64(7))
         seen = self.record_reads(monkeypatch, gen.bit_generator)
-        assert risk_engine._philox_words(gen.bit_generator, 7, 0) is None
+        assert process_sim._philox_words(gen.bit_generator, 7, 0) is None
         assert seen == []
 
 
