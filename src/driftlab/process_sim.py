@@ -17,7 +17,6 @@ SciPy. `cumulative_trapezoid` is written in NumPy with SciPy's arithmetic.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -62,11 +61,12 @@ class ModelParams:
 class VolatilityProfile:
     """Piecewise-constant volatility level s -> sigma_s on [0, T].
 
-    `levels` holds one strictly positive value per segment; `breakpoints`
-    holds the interior segment boundaries in strictly increasing order.
-    A single level with no breakpoints is the constant profile.  The
-    breakpoints must lie strictly inside (0, T); T is not stored here,
-    so `check_breakpoints` tests it wherever a profile meets a horizon.
+    `levels` holds one finite, strictly positive value per segment;
+    `breakpoints` holds the finite interior segment boundaries in strictly
+    increasing order.  A single level with no breakpoints is the constant
+    profile.  The breakpoints must lie strictly inside (0, T); T is not
+    stored here, so `check_breakpoints` tests it wherever a profile meets
+    a horizon.
     """
 
     levels: tuple
@@ -79,6 +79,9 @@ class VolatilityProfile:
         object.__setattr__(self, "breakpoints", breaks)
         if len(levels) != len(breaks) + 1:
             raise ValueError("need exactly one more level than breakpoints")
+        # nan and inf pass the sign checks below and make the closed forms nan
+        if not all(map(math.isfinite, levels + breaks)):
+            raise ValueError("volatility levels and breakpoints must be finite")
         if any(v <= 0 for v in levels):
             raise ValueError("volatility levels must be strictly positive")
         if any(b <= 0 for b in breaks):
@@ -326,59 +329,6 @@ def noise_stream(seed, replicate):
     return Generator(Philox(key=key))
 
 
-class _PhiloxHead(ctypes.Structure):
-    # the leading fields of NumPy's philox_state, at bit_generator.ctypes.state_address
-    _fields_ = [("ctr", ctypes.c_void_p), ("key", ctypes.c_void_p), ("buffer_pos", ctypes.c_int)]
-
-
-_Counter = ctypes.c_uint64 * 4
-_Key = ctypes.c_uint64 * 2
-
-
-def _at(ctype, addr):
-    """A ctypes view of the memory at addr; every read of a bit generator's
-    state goes through here."""
-    return ctype.from_address(addr)
-
-
-def _philox_words(bg, seed, start):
-    """Views of the words that re-key bg for another replicate: key[1], the
-    counter and the head holding buffer_pos. bg must be a fresh Philox keyed
-    by (seed, start).
-
-    The views rely on NumPy's private philox_state layout, so it is checked
-    first, and None is returned when any check fails. The state address and
-    both pointers in it must lie inside the bit generator object, checked
-    before each is read. The key read through them must be (seed, start),
-    with a zero counter and an empty buffer (buffer_pos 4). And a write
-    through the views must read back through bg.state as that counter and
-    buffer_pos; the written words are then restored.
-    """
-    if not isinstance(bg, np.random.Philox):
-        return None
-    lo = id(bg)
-    hi = lo + type(bg).__basicsize__
-
-    def inside(addr, ctype):
-        return addr is not None and lo <= addr <= hi - ctypes.sizeof(ctype)
-
-    addr = bg.ctypes.state_address
-    if not inside(addr, _PhiloxHead):
-        return None
-    head = _at(_PhiloxHead, addr)
-    if not (inside(head.ctr, _Counter) and inside(head.key, _Key)):
-        return None
-    ctr, key = _at(_Counter, head.ctr), _at(_Key, head.key)
-    if tuple(key) != (seed, start) or any(ctr) or head.buffer_pos != 4:
-        return None
-    ctr[:], head.buffer_pos = (1, 2, 3, 4), 1
-    state = bg.state
-    ctr[:], head.buffer_pos = (0, 0, 0, 0), 4
-    if state["state"]["counter"].tolist() != [1, 2, 3, 4] or state["buffer_pos"] != 1:
-        return None
-    return _at(ctypes.c_uint64, head.key + 8), ctr, head
-
-
 # Narrow blocks of many rows are drawn in array form: every row's Philox
 # words at once, then NumPy's ziggurat fast path on all of them. The cut-overs
 # are measured (CHANGES.md): wider or shorter blocks draw faster one row at a
@@ -406,8 +356,8 @@ def _noise_block(seed, start, count, dim):
     _array_tables has its tables; the rows it leaves, and every row of any
     other block, are drawn by _rekeyed_rows.
     """
-    # before any draw: a c_uint64 key word would wrap silently, and the
-    # array path's uint64 arrays would raise OverflowError
+    # before any draw: past the key range the state setter and the array
+    # path's uint64 arrays raise OverflowError, not this ValueError
     _check_keys(seed, start, start + count - 1)
     out = np.empty((count, dim))
     rows = range(count)
@@ -423,30 +373,25 @@ def _rekeyed_rows(out, seed, start, rows):
     """Draw each row i in rows (a sequence of indices of out) as
     noise_stream(seed, start + i).standard_normal(out.shape[1]).
 
-    One Generator serves them all. Per row its Philox is re-keyed in place:
-    key[1] is set to start + i, the four counter words to zero and
-    buffer_pos to 4 (empty buffer), through the views _philox_words finds
-    once per call. That is the state of a fresh noise_stream(seed, start + i),
-    so no stream is built per row. When the layout check declines, each row
-    is drawn from its own noise_stream(seed, start + i), the definition
-    itself: slower, the same bits.
+    One Generator serves them all. Per row its Philox is re-keyed through
+    the public state setter: key (seed, start + i), the four counter words
+    zero and an empty buffer (buffer_pos 4). That is the state of a fresh
+    noise_stream(seed, start + i), so no stream is built per row. The words
+    are Python lists, which the setter reads faster than arrays.
     """
     if not rows:
         return
-    first = start + rows[0]
-    gen = noise_stream(seed, first)
+    gen = noise_stream(seed, start + rows[0])
+    bg = gen.bit_generator
     # a tuple size skips NumPy's slower check of an int size against out
     normal, shape = gen.standard_normal, out.shape[1:]
-    words = _philox_words(gen.bit_generator, seed, first)
-    if words is None:  # another layout: one stream per row
-        for i in rows:
-            noise_stream(seed, start + i).standard_normal(shape, out=out[i])
-        return
-    key1, ctr, head = words
+    key = [seed, 0]
+    state = bg.state
+    state.update(buffer=[0, 0, 0, 0], buffer_pos=4, has_uint32=0, uinteger=0)
+    state["state"] = {"counter": [0, 0, 0, 0], "key": key}
     for i in rows:
-        key1.value = start + i
-        ctr[:] = (0, 0, 0, 0)
-        head.buffer_pos = 4
+        key[1] = start + i
+        bg.state = state
         normal(shape, out=out[i])
 
 
@@ -564,7 +509,7 @@ def _array_tables():
     """The tables of the array path, built once per process at its first
     use, or None when the path declines: a table probe failed, or the path
     did not reproduce Philox.random_raw and noise_stream on a probe block.
-    Then _rekeyed_rows draws every row, the same rule as for _philox_words.
+    Then _rekeyed_rows draws every row.
     """
     tables = _ziggurat_tables()
     return tables if tables is not None and _array_path_agrees(tables) else None

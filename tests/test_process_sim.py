@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,14 @@ class TestModelTypes:
             VolatilityProfile(levels=(1.0, 2.0, 3.0), breakpoints=(0.7, 0.2))
         with pytest.raises(ValueError):
             VolatilityProfile(levels=(1.0,), breakpoints=(0.5,))
+
+    @pytest.mark.parametrize("levels, breakpoints", [
+        ((math.nan,), ()), ((math.inf,), ()), ((1.0, 2.0), (math.nan,)),
+        ((1.0, 2.0), (math.inf,)), ((1.0, math.nan), (0.5,))])
+    def test_profile_rejects_non_finite_values(self, levels, breakpoints):
+        # nan passed the sign checks and made bayes_risk_closed_form return nan
+        with pytest.raises(ValueError, match="finite"):
+            VolatilityProfile(levels, breakpoints)
 
 
 class TestProfileIntegrals:

@@ -17,13 +17,13 @@ from driftlab.risk_engine import _BLOCK
 U64 = 2**64
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
 
-# _noise_block re-keys through Philox's state words when the layout probe
-# accepts them and builds one stream per row when it declines; narrow blocks
-# of many rows take the array path, here lowered to every block of these
-# tests, with its fast-path rows, with every row left to the loop, and with
-# tables that its self-check declines. All must give the stream loop's bits
+# _noise_block re-keys one Philox per row through its public state setter;
+# narrow blocks of many rows take the array path, here lowered to every block
+# of these tests, with its fast-path rows, with every row left to the loop,
+# and with tables that its self-check declines. All must give the stream
+# loop's bits
 REKEY_PATHS = pytest.mark.parametrize(
-    "rekey", ["pointer", "declined", "array", "array-fallback", "array-declined"])
+    "rekey", ["setter", "array", "array-fallback", "array-declined"])
 
 
 def doubled_widths(probe=process_sim._ziggurat_tables):
@@ -36,8 +36,6 @@ def rekeyed(path):
     # the tables are cached per process: rebuilt around a run that patches them
     tables = process_sim._array_tables
     with pytest.MonkeyPatch.context() as mp:
-        if path == "declined":
-            mp.setattr(process_sim, "_philox_words", lambda bg, seed, start: None)
         if path.startswith("array"):
             mp.setattr(process_sim, "_ARRAY_MIN_ROWS", 1)
             mp.setattr(process_sim, "_ARRAY_MAX_DIM", 24)

@@ -1,4 +1,3 @@
-import ctypes
 import math
 import os
 import tracemalloc
@@ -34,7 +33,6 @@ from driftlab import (
     mc_risk,
     noise_stream,
     optimal_n_search,
-    process_sim,
     sample_average_risk,
     simulate_path,
     stein_estimate,
@@ -291,95 +289,6 @@ class TestDrawBuffer:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
-
-
-class TestPhiloxProbe:
-    """_noise_block re-keys a row through the words of NumPy's philox_state
-    only when _philox_words vouches for their layout; it must read nothing
-    outside the bit generator object on the way."""
-
-    @staticmethod
-    def record_reads(monkeypatch, bg, head=None):
-        """Fail on any view _philox_words takes outside bg and return the
-        list of views it took; head, when given, stands in for the state head."""
-        lo, hi = id(bg), id(bg) + type(bg).__basicsize__
-        seen = []
-
-        def at(ctype, addr):
-            assert lo <= addr <= hi - ctypes.sizeof(ctype), "read outside the bit generator"
-            seen.append(ctype)
-            if head is not None and ctype is process_sim._PhiloxHead:
-                return head
-            return real(ctype, addr)
-
-        real = process_sim._at
-        monkeypatch.setattr(process_sim, "_at", at)
-        return seen
-
-    @staticmethod
-    def assert_untouched(gen, seed, start):
-        np.testing.assert_array_equal(gen.standard_normal(9),
-                                      noise_stream(seed, start).standard_normal(9))
-
-    def test_accepts_the_installed_philox(self, monkeypatch):
-        # a NumPy whose layout the probe declines would build one stream per
-        # row in every block: fail here, not only in a benchmark
-        gen = noise_stream(7, 2**64 - 1)
-        seen = self.record_reads(monkeypatch, gen.bit_generator)
-        assert process_sim._philox_words(gen.bit_generator, 7, 2**64 - 1) is not None
-        assert len(seen) == 4  # the head, the counter, the key and key[1]
-        self.assert_untouched(gen, 7, 2**64 - 1)
-
-    @pytest.mark.parametrize("seed, start", [(7, 101), (8, 100), (100, 7)])
-    def test_declines_another_key(self, monkeypatch, seed, start):
-        gen = noise_stream(7, 100)
-        self.record_reads(monkeypatch, gen.bit_generator)
-        assert process_sim._philox_words(gen.bit_generator, seed, start) is None
-        self.assert_untouched(gen, 7, 100)
-
-    @pytest.mark.parametrize("advance", ["draw", "advance", "full-buffer"])
-    def test_declines_an_advanced_stream(self, monkeypatch, advance):
-        gen = noise_stream(7, 100)
-        if advance == "draw":
-            gen.standard_normal(3)
-        elif advance == "advance":
-            gen.bit_generator.advance(1)
-        else:
-            gen.bit_generator.random_raw()  # a counter of 1 and three words buffered
-        self.record_reads(monkeypatch, gen.bit_generator)
-        assert process_sim._philox_words(gen.bit_generator, 7, 100) is None
-
-    @pytest.mark.parametrize("field", ["ctr", "key"])
-    def test_declines_a_pointer_outside_the_object(self, monkeypatch, field):
-        # stands in for a layout whose head holds other fields: the pointer
-        # is checked before it is read through
-        gen = noise_stream(7, 100)
-        bg = gen.bit_generator
-        real = process_sim._PhiloxHead.from_address(bg.ctypes.state_address)
-        head = process_sim._PhiloxHead(real.ctr, real.key, real.buffer_pos)
-        setattr(head, field, id(bg) + type(bg).__basicsize__)
-        seen = self.record_reads(monkeypatch, bg, head)
-        assert process_sim._philox_words(bg, 7, 100) is None
-        assert seen == [process_sim._PhiloxHead]
-        self.assert_untouched(gen, 7, 100)
-
-    def test_declines_a_counter_that_is_not_read_back(self, monkeypatch):
-        # a pointer to the zeroed output buffer passes every read check; the
-        # write read back through bit_generator.state exposes it
-        gen = noise_stream(7, 100)
-        bg = gen.bit_generator
-        real = process_sim._PhiloxHead.from_address(bg.ctypes.state_address)
-        head = process_sim._PhiloxHead(bg.ctypes.state_address + ctypes.sizeof(real),
-                                       real.key, real.buffer_pos)
-        self.record_reads(monkeypatch, bg, head)
-        assert process_sim._philox_words(bg, 7, 100) is None
-        self.assert_untouched(gen, 7, 100)
-
-    def test_declines_another_bit_generator(self, monkeypatch):
-        gen = np.random.Generator(np.random.PCG64(7))
-        seen = self.record_reads(monkeypatch, gen.bit_generator)
-        assert process_sim._philox_words(gen.bit_generator, 7, 0) is None
-        assert seen == []
 
 
 def stein_worker(fnl, lambda_scale=1.0, n_basis=16, grid_m=32):
