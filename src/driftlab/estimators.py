@@ -24,9 +24,9 @@ from .process_sim import (
     SineBasis,
     VolatilityProfile,
     _check_nonzero,
+    _drift_offsets,
     check_breakpoints,
     cumulative_trapezoid,
-    drift_inner_products,
     nested_integral,
     stieltjes_cumulative,
 )
@@ -74,7 +74,7 @@ class CylindricalFunctional:
         offsets b_k = lambda_k^{-1} <u, h_k> are filled in at evaluation
         time from whichever drift the caller passes, which makes the
         coefficients b_k + lambda_k^{-1} X^u(h_k) = lambda_k^{-1} X(h_k)
-        computable from the observation alone.
+        observable, and the same bits wherever they are formed.
     """
 
     n: int
@@ -104,10 +104,7 @@ class CylindricalFunctional:
 
     def offsets(self, u, params):
         """Resolved offset vector: stored b, or drift-matched defaults."""
-        if self.b is not None:
-            return self.b
-        lam = SineBasis(params.sigma, params.T, self.n).eigenvalues()
-        return drift_inner_products(u, self.n, params) / lam
+        return _drift_offsets(u, self.n, params)[1] if self.b is None else self.b
 
 
 def stein_terms(eta, lam, b, a, start):
@@ -128,12 +125,11 @@ def stein_terms(eta, lam, b, a, start):
 
 def _sample_terms(sample, u, fnl):
     """stein_terms of one sample's first n coefficients, as a one-row block."""
-    params = sample.params
     if fnl.n > sample.n_basis:
         raise ValueError(f"functional needs {fnl.n} coefficients, sample has {sample.n_basis}")
-    lam = SineBasis(params.sigma, params.T, fnl.n).eigenvalues()
-    return stein_terms(sample.eta[None, : fnl.n], lam, fnl.offsets(u, params), fnl.a,
-                       sample.replicate_index)
+    lam, matched = _drift_offsets(u, fnl.n, sample.params)
+    b = matched if fnl.b is None else fnl.b
+    return stein_terms(sample.eta[None, : fnl.n], lam, b, fnl.a, sample.replicate_index)
 
 
 def functional_coefficients(sample, u, fnl):
@@ -194,8 +190,10 @@ def bayes_mse_decomposition(spec: BayesSpec, u: DriftSpec, sigma_profile, grid, 
     The variance term int_0^T int_0^t tau^4 sigma^2/(tau^2+sigma^2)^2 ds dt
     is exact piecewise; the squared bias
     int_0^T | int_0^t sigma^2 (dv/ds - du/ds)/(tau^2+sigma^2) ds |^2 dt
-    is computed by composite trapezoid quadrature on the grid.
+    is computed by composite trapezoid quadrature on a grid ending at T.
     """
+    if grid.T != params.T:
+        raise ValueError(f"grid horizon {grid.T} differs from the model horizon {params.T}")
     variance = nested_integral(
         lambda tau, sig: tau**4 * sig**2 / (tau**2 + sig**2) ** 2,
         params.T, spec.tau, sigma_profile,
@@ -215,16 +213,14 @@ def scaled_projection(sample: PathSample, u: DriftSpec, n: int) -> EstimateSerie
     """Projection of the observation on the span of the first n basis images.
 
     Returns sum_{k<=n} lambda_k^{-2} X(h_k) (Gamma h_k)(t), i.e. the
-    coefficients lambda_k^{-1} X(h_k) against the L^2(dt)-orthonormal
-    functions lambda_k^{-1} Gamma h_k.
+    coefficients lambda_k^{-1} X(h_k) = eta_k/lambda_k + b_k (bit for bit the
+    functional's c_k) against the orthonormal functions lambda_k^{-1} Gamma h_k.
     """
     if n < 1 or n > sample.n_basis:
         raise ValueError(f"projection order {n} out of range 1..{sample.n_basis}")
-    params = sample.params
-    basis = SineBasis(params.sigma, params.T, n)
-    lam = basis.eigenvalues()
-    coeffs = (sample.eta[:n] + drift_inner_products(u, n, params)) / lam
-    values = basis.synthesize(coeffs, sample.grid)
+    lam, b = _drift_offsets(u, n, sample.params)
+    basis = SineBasis(sample.params.sigma, sample.params.T, n)
+    values = basis.synthesize(sample.eta[:n] / lam + b, sample.grid)
     return EstimateSeries(values=values, label="scaled-projection")
 
 

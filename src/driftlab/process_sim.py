@@ -182,9 +182,8 @@ class DriftSpec:
             basis, c = self._basis(params)
             weights = c * basis.eigenvalues() / params.sigma**2
             return (weights @ basis.orthonormal_matrix(t)).reshape(t.shape)
-        # tabulated: cumulative trapezoid of the stored derivative
-        u = cumulative_trapezoid(self.du, self.du_grid.dt)
-        return np.interp(t, self.du_grid.points, u)
+        grid = self._grid(params)  # tabulated: the running trapezoid of du
+        return np.interp(t, grid.points, cumulative_trapezoid(self.du, grid.dt))
 
     def derivative_values(self, t, params):
         t = np.asarray(t, dtype=float)
@@ -193,7 +192,12 @@ class DriftSpec:
         if self.kind == "coefficients":
             basis, c = self._basis(params)
             return (c @ basis.derivative_matrix(t)).reshape(t.shape)
-        return np.interp(t, self.du_grid.points, self.du)
+        return np.interp(t, self._grid(params).points, self.du)
+
+    def _grid(self, params):
+        if self.du_grid.T != params.T:  # u would be read past or short of T
+            raise ValueError(f"drift grid ends at T={self.du_grid.T}, the model at T={params.T}")
+        return self.du_grid
 
     def _basis(self, params):
         # an empty combination is the zero drift: one zero-weighted mode
@@ -297,9 +301,15 @@ def drift_inner_products(u, n, params):
         )
     if u.kind == "coefficients":
         return np.concatenate((u.coeffs, np.zeros(n)))[:n] / params.sigma**2
-    grid = u.du_grid
+    grid = u._grid(params)
     hdot = SineBasis(params.sigma, params.T, n).derivative_matrix(grid.points)
     return np.trapezoid(u.du * hdot, dx=grid.dt, axis=1)
+
+
+def _drift_offsets(u, n, params):
+    """(lam, b = <u, h>/lam) for k <= n; lambda_k^{-1} X(h_k) is eta/lam + b everywhere."""
+    lam = SineBasis(params.sigma, params.T, n).eigenvalues()
+    return lam, drift_inner_products(u, n, params) / lam
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +541,19 @@ def _array_path_agrees(tables):
         for i in range(count) if i not in redo)
 
 
-def reconstruct_path(eta, grid, params, n_basis=None):
+def reconstruct_path(eta, grid, params):
     """Evaluate the truncated expansion X^u on the grid; X^u_0 = 0 exactly.
 
-    X^u(t_i) = sum_{k<=n_basis} lambda_k eta_k e_k(t_i) is one DST-II of
-    the coefficients lambda * eta (see SineBasis.synthesize), so a
-    replicate costs O(M log M) time and O(M) memory.  n_basis may exceed
-    the grid size M: modes past M alias onto the first M and are folded
-    in.  eta may carry leading batch axes.
+    X^u(t_i) = sum_k lambda_k eta_k e_k(t_i), over all of eta's modes, is one
+    DST-II of lambda * eta (see SineBasis.synthesize): O(M log M) time and O(M)
+    memory a replicate, with modes past the grid size M folded in.  eta may
+    carry leading batch axes.
     """
     eta = np.asarray(eta, dtype=float)
     if eta.size == 0:
         raise ValueError("eta must contain at least one coefficient")
-    if n_basis is None:
-        n_basis = eta.shape[-1]
-    if n_basis > eta.shape[-1]:
-        raise ValueError(f"n_basis={n_basis} exceeds the {eta.shape[-1]} coefficients given")
-    basis = SineBasis(params.sigma, params.T, n_basis)
-    return basis.synthesize(eta[..., :n_basis] * basis.eigenvalues(), grid)
+    basis = SineBasis(params.sigma, params.T, eta.shape[-1])
+    return basis.synthesize(eta * basis.eigenvalues(), grid)
 
 
 @dataclass(frozen=True)
@@ -599,25 +604,23 @@ def simulate_path(seed, replicate, u, params, grid, n_basis):
     return observed_path(xu, u, grid, params, eta=eta, seed=seed, replicate=replicate)
 
 
-def observed_coefficient(sample, u, k, params=None, method="identity"):
+def observed_coefficient(sample, u, k, method="identity"):
     """lambda_k^{-1} X(h_k), the k-th observable coefficient of the path.
 
-    method="identity" uses X^u(h_k) = eta_k, exact in the truncated model.
+    method="identity" uses X^u(h_k) = eta_k: exact, and bit for bit the kernel's c_k.
     method="quadrature" recomputes X(h_k) = int dh_k/dt dX by left-point
     Riemann-Stieltjes sums over the stored grid path, which carries
     truncation plus discretization error and is meant for cross-checking.
     """
-    params = sample.params if params is None else params
-    basis = SineBasis(params.sigma, params.T, k)
-    lam = basis.eigenvalues()[-1]
     if method == "identity":
         if k > sample.n_basis:
             raise ValueError(f"coefficient {k} beyond simulated n_basis={sample.n_basis}")
-        return (sample.eta[k - 1] + drift_inner_products(u, k, params)[-1]) / lam
+        lam, b = _drift_offsets(u, k, sample.params)
+        return sample.eta[k - 1] / lam[-1] + b[-1]
     if method == "quadrature":
+        basis = SineBasis(sample.params.sigma, sample.params.T, k)
         hdot = basis.derivative_matrix(sample.grid.points[:-1])[-1]
-        increments = np.diff(sample.x)
-        return float(np.sum(hdot * increments)) / lam
+        return float(np.sum(hdot * np.diff(sample.x))) / basis.eigenvalues()[-1]
     raise ValueError(f"unknown method {method!r}")
 
 

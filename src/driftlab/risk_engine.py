@@ -263,11 +263,11 @@ def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_
     # the test hook corrupts the eigenvalues only where coefficients are
     # formed; the error coefficients below stay honest, so a scale != 1
     # breaks the pairing the identities rely on
-    lam = SineBasis(sigma, T, n).eigenvalues() * lambda_scale
+    lam = SineBasis(sigma, T, n_basis).eigenvalues()
     # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
-    c, dn, corr = stein_terms(eta[:, :n], lam, b, a, start)
+    c, dn, corr = stein_terms(eta[:, :n], lam[:n] * lambda_scale, b, a, start)
     err = eta  # in place: eta is not read again
-    err *= SineBasis(sigma, T, n_basis).eigenvalues()
+    err *= lam
     err[:, :n] += corr
     risk = np.einsum("ij,ij->i", err, err)
 
@@ -522,13 +522,13 @@ def _gain_report(alpha, sigma, T, n, reps, seed, workers, label):
 
 
 def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
-         grid_m=2048, n_basis=1024, workers=1) -> GainEstimate:
+         n_basis=1024, workers=1) -> GainEstimate:
     """Superefficiency gain G at one n, by closed formula and by risk difference.
 
     The formula path evaluates
     2 (n-2)^2 E[(sum_{l<=n} (pi (l-1/2) eta_l - alpha sqrt(2T)/sigma (-1)^l)^2)^{-1}];
-    the risk-difference path measures (R - mc_risk(stein, a=2-n))/R with the
-    same seed, so the two share the first n coordinates of every replicate.
+    the risk-difference path, (R - mc_risk(stein, a=2-n))/R, sums n_basis modes
+    (no grid) and shares the seed, so both read each replicate's first n coordinates.
 
     At n = 3 the raw replicate 2/Q has infinite variance (P(Q < e) ~ e^{3/2}),
     so the formula path integrates the first coordinate out in closed form:
@@ -545,7 +545,7 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
         params = ModelParams(sigma=sigma, T=T, alpha=alpha)
         fnl = CylindricalFunctional(n=n, a=float(2 - n))
         stein = mc_risk(fnl, DriftSpec.linear(alpha), params, reps, seed,
-                        grid_m=grid_m, n_basis=n_basis, workers=workers)
+                        n_basis=n_basis, workers=workers)
         r = cramer_rao_bound(sigma, T)
         risk_difference = RiskReport(
             mean=(r - stein.mean) / r, stderr=stein.stderr / r,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,18 @@ import oracles
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
 GRID = TimeGrid(256, 1.0)
 U = DriftSpec.linear(1.0)
+
+# the two rounding orders (eta + <u,h>)/lam and eta/lam + <u,h>/lam agree at
+# only some seeds, so a single seed cannot tell them apart
+SEEDS = range(100)
+AGREE_PARAMS = ModelParams(sigma=1.3, T=0.7)
+AGREE_GRID = TimeGrid(64, 0.7)
+AGREE_DRIFTS = {
+    "linear": DriftSpec.linear(0.9),
+    "coefficients": DriftSpec.from_coefficients([0.4, -1.1, 0.25, 0.0, 0.7]),
+    "tabulated": DriftSpec.from_tabulated_derivative(
+        np.cos(4.0 * AGREE_GRID.points) + AGREE_GRID.points, AGREE_GRID),
+}
 
 
 def make_sample(seed=3, replicate=0, n_basis=64, grid=GRID, params=PARAMS, u=U):
@@ -80,12 +94,30 @@ class TestCoefficients:
     def test_observable_form(self):
         # with drift-matched offsets the coefficients are exactly
         # lambda_k^{-1} X(h_k), computable from the observation alone
-        s = make_sample()
         fnl = CylindricalFunctional(n=4, a=-2.0)
-        c, dn = functional_coefficients(s, U, fnl)
-        for k in range(1, 5):
-            assert c[k - 1] == observed_coefficient(s, U, k)
+        for seed in SEEDS:
+            s = make_sample(seed=seed)
+            c, _ = functional_coefficients(s, U, fnl)
+            for k in range(1, 5):
+                assert c[k - 1] == observed_coefficient(s, U, k)
+        # D is a row-wise einsum and c @ c a dot product; their summation
+        # orders give the same bits at this seed (3), not at every seed
+        c, dn = functional_coefficients(make_sample(), U, fnl)
         assert dn == float(c @ c)
+
+    @pytest.mark.parametrize("kind", sorted(AGREE_DRIFTS))
+    def test_observable_coefficients_agree_bit_for_bit(self, kind):
+        # observed_coefficient and scaled_projection form lambda_k^{-1} X(h_k)
+        # in the kernel's order, so every seed gives the kernel's bytes
+        u = AGREE_DRIFTS[kind]
+        for seed in SEEDS:
+            s = simulate_path(seed, 0, u, AGREE_PARAMS, AGREE_GRID, 8)
+            for n in (3, 4, 7):
+                c, _ = functional_coefficients(s, u, CylindricalFunctional(n=n, a=-1.0))
+                for k in range(1, n + 1):
+                    assert observed_coefficient(s, u, k).tobytes() == c[k - 1].tobytes()
+                synth = SineBasis(AGREE_PARAMS.sigma, AGREE_PARAMS.T, n).synthesize(c, s.grid)
+                assert scaled_projection(s, u, n).values.tobytes() == synth.tobytes()
 
     def test_dimension_exceeding_sample(self):
         s = make_sample(n_basis=8)
@@ -333,3 +365,13 @@ class TestBayes:
         # bias curve is -t/2, squared-integrated: 1/4 * 1/3
         assert abs(bias_sq - 1.0 / 12.0) < 1e-4
         assert abs(variance - 0.125) < 1e-14
+
+    @pytest.mark.parametrize("end", [0.5, 2.0])
+    def test_mse_decomposition_rejects_another_horizon(self, end):
+        # the variance term runs to params.T and the bias term to grid.T, so
+        # a mismatch would mix two horizons in one answer
+        spec = BayesSpec.centered(1.0)
+        sig = VolatilityProfile.constant(1.0)
+        message = re.escape(f"grid horizon {end} differs from the model horizon 1.0")
+        with pytest.raises(ValueError, match=message):
+            bayes_mse_decomposition(spec, U, sig, TimeGrid(8, end), PARAMS)

@@ -42,9 +42,9 @@ REPORTS = {
                           "0x1.9e016758403b1p-3", "0x1.9b47d4370b88ep-9"),
     "sample-average": (lambda: sample_average_risk(3, PARAMS, REPS, 14, n_basis=16),
                        "0x1.5a7e80227daadp-3", "0x1.6b9e9dc5d3f89p-9"),
-    "gain-formula": (lambda: gain(1.0, 1.0, 1.0, 4, REPS, 16, grid_m=64, n_basis=16).formula,
+    "gain-formula": (lambda: gain(1.0, 1.0, 1.0, 4, REPS, 16, n_basis=16).formula,
                      "0x1.aa69012061756p-4", "0x1.e0935119eb1e8p-9"),
-    "gain-risk-difference": (lambda: gain(1.0, 1.0, 1.0, 4, REPS, 16, grid_m=64,
+    "gain-risk-difference": (lambda: gain(1.0, 1.0, 1.0, 4, REPS, 16,
                                           n_basis=16).risk_difference,
                              "0x1.ef282e2ce1d18p-4", "0x1.e48c13c62cb3ap-7"),
     "large-sigma-limit": (lambda: gain_large_sigma_limit(4, REPS, 17),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,6 +262,22 @@ class TestDriftSpecs:
         for k in range(1, 7):
             assert vec[k - 1] == np.trapezoid(du * hdot[k - 1], dx=grid.dt)
 
+    @pytest.mark.parametrize("end", [0.5, 2.0])
+    @pytest.mark.parametrize("entry", ["values", "derivative_values", "drift_inner_products"])
+    def test_tabulated_horizon_must_be_the_model_horizon(self, entry, end):
+        # a tabulation ending short of T would give u flat past its end while
+        # du is still reported there; one ending past T would be cut at T
+        grid = TimeGrid(8, end)
+        u = DriftSpec.from_tabulated_derivative(np.ones(9), grid)
+        t = np.linspace(0.0, min(end, PARAMS.T), 5)
+        calls = {
+            "values": lambda: u.values(t, PARAMS),
+            "derivative_values": lambda: u.derivative_values(t, PARAMS),
+            "drift_inner_products": lambda: drift_inner_products(u, 3, PARAMS),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"T={end}, the model at T=1.0")):
+            calls[entry]()
+
     def test_alternating_signs_for_linear_drift(self):
         vec = drift_inner_products(DriftSpec.linear(1.0), 6, PARAMS)
         assert np.all(vec[::2] > 0)
@@ -356,12 +373,6 @@ class TestPathConstruction:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    @pytest.mark.parametrize("given", [1, 4])
-    def test_n_basis_beyond_eta_rejected(self, given):
-        # one coefficient would otherwise broadcast across all five modes
-        with pytest.raises(ValueError, match="n_basis"):
-            reconstruct_path(np.ones(given), TimeGrid(16, 1.0), PARAMS, n_basis=5)
-
     def test_simulated_path_fields(self):
         grid = TimeGrid(64, 1.0)
         u = DriftSpec.linear(1.0)
@@ -406,7 +417,7 @@ class TestObservedCoefficients:
         lams = basis_for(PARAMS, 5).eigenvalues()
         pairings = drift_inner_products(u, 5, PARAMS)
         for k in (1, 2, 5):
-            expected = (s.eta[k - 1] + pairings[k - 1]) / lams[k - 1]
+            expected = s.eta[k - 1] / lams[k - 1] + pairings[k - 1] / lams[k - 1]
             assert observed_coefficient(s, u, k) == expected
 
     def test_quadrature_mode_near_identity_mode(self):

@@ -530,7 +530,7 @@ class TestGain:
         assert a.formula.stderr == b.formula.stderr == c.formula.stderr
 
     def test_risk_difference_cross_check(self):
-        est = gain(1.0, 1.0, 1.0, 4, 30_000, 14, grid_m=512, n_basis=256)
+        est = gain(1.0, 1.0, 1.0, 4, 30_000, 14, n_basis=256)
         diff = abs(est.formula.mean - est.risk_difference.mean)
         combined = math.hypot(est.formula.stderr, est.risk_difference.stderr)
         truncation = (0.5 - truncated_efficient_risk(256)) / 0.5
