@@ -255,21 +255,34 @@ def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     return (risks,)
 
 
-def _stein_block(start, count, *, seed, params, n_basis, grid_m, fnl, b, lambda_scale=1.0):
-    # grid_m is read only by the correction-forms cross-check
+def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
+                 lambda_scale=1.0):
+    """The Stein risk of F_{n,a,b} per replicate, from the first n draws of
+    each replicate; with grid_m (identity_suite) also the identity columns.
+
+    estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k.
+    The modes n < k <= n_basis enter the truncated loss only through
+    sum_k lambda_k^2 eta_k^2, which is independent of the correction; it is
+    replaced by its exact mean sum_k lambda_k^2 (conditional Monte Carlo), so
+    only n normals a replicate are drawn. grid_m is read only by the
+    correction-forms cross-check; without it the risk column alone is formed.
+    """
     n, a = fnl.n, fnl.a
     sigma, T = params.sigma, params.T
-    eta = _noise_block(seed, start, count, n_basis)
-    # the test hook corrupts the eigenvalues only where coefficients are
-    # formed; the error coefficients below stay honest, so a scale != 1
-    # breaks the pairing the identities rely on
+    eta = _noise_block(seed, start, count, n)
     lam = SineBasis(sigma, T, n_basis).eigenvalues()
-    # estimate - u = X^u + D log F, with D log F = sum_{k<=n} (a c_k/D_n) e_k
-    c, dn, corr = stein_terms(eta[:, :n], lam[:n] * lambda_scale, b, a, start)
+    # the test hook corrupts the eigenvalues only where coefficients are
+    # formed; the error coefficients and the tail stay honest, so a scale
+    # != 1 breaks the pairing the identities rely on
+    c, dn, corr = stein_terms(eta, lam[:n] * lambda_scale, b, a, start)
     err = eta  # in place: eta is not read again
-    err *= lam
-    err[:, :n] += corr
+    err *= lam[:n]
+    err += corr
     risk = np.einsum("ij,ij->i", err, err)
+    tail = lam[n:]
+    risk += tail @ tail
+    if grid_m is None:
+        return (risk,)
 
     delta_f, delta_sqrt, grad = stein_closed_forms(n, a, dn)
     dlog = a * (n - 2) / dn
@@ -400,7 +413,8 @@ def _const_block(start, count, *, seed):
 
 
 def _stein_worker(fnl, u, params, seed, n_basis, grid_m, lambda_scale=1.0):
-    # F_{n,a,b} reads the first n coefficients of each replicate
+    # F_{n,a,b} reads the first n coefficients of each replicate; grid_m None
+    # gives the risk column alone
     if fnl.n > n_basis:
         raise ValueError(f"functional dimension n={fnl.n} exceeds n_basis={n_basis}")
     return partial(_stein_block, seed=seed, params=params, n_basis=n_basis, grid_m=grid_m,
@@ -418,14 +432,19 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
     (seed, reps, grid_m, n_basis) independent of workers.
 
     The efficient and Stein risks are sums over the first n_basis
-    coefficients and do not depend on grid_m; the Bayes risk is integrated
-    on the grid_m-interval grid.
+    coefficients; grid_m reaches only the Bayes risk, which is integrated
+    on the grid_m-interval grid. The efficient risk draws all n_basis
+    coefficients. The Stein risk draws the first n, which its correction
+    reads, and adds the exact mean sum_{n<k<=n_basis} lambda_k^2 of the
+    truncated tail in place of its draws: the same expectation, from n
+    normals a replicate, and only the risk column of the Stein block is
+    formed.
     """
     if estimator == "efficient":
         worker = partial(_efficient_block, seed=seed, params=params, n_basis=n_basis)
         label = "efficient-risk"
     elif isinstance(estimator, CylindricalFunctional):
-        worker = _stein_worker(estimator, u, params, seed, n_basis, grid_m)
+        worker = _stein_worker(estimator, u, params, seed, n_basis, None)
         label = "stein-risk"
     elif isinstance(estimator, BayesSpec):
         check_breakpoints(params.T, estimator.tau)
@@ -462,7 +481,16 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
 
     The risk and bias rows are coefficient sums and do not depend on
     grid_m; the correction-forms row integrates the James-Stein norm on
-    the grid_m-interval grid, as an independent cross-check.
+    the grid_m-interval grid, as an independent cross-check. Each replicate
+    draws its first n coefficients; the risk's modes n < k <= n_basis enter
+    as the exact tail mean sum_k lambda_k^2 (see mc_risk), which cancels
+    from every paired difference.
+
+    The pathwise rows are measured in the units of their terms, so that
+    rounding is judged against the same bound at every scale: the
+    correction-forms row's lhs is the largest deviation divided by sigma T
+    (the scale of the correction), and the chain-rule row's by (sigma T)^2
+    (the scale of its 1/D terms).
     """
     if not lambda_scale > 0:
         raise ValueError(f"lambda_scale must be positive, got {lambda_scale}")
@@ -478,13 +506,15 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
             name=name, lhs=risk.mean, rhs=risk.mean - d.mean,
             paired_stderr=d.stderr, passed=bool(abs(d.mean) <= 3.0 * d.stderr),
         ))
-    pathwise = [("chain-rule-pathwise", chain)]
+    scale = params.sigma * params.T
+    pathwise = [("chain-rule-pathwise", chain, scale * scale)]
     if fnl.is_james_stein:
-        pathwise.append(("correction-forms-pathwise", forms))
-    for name, dev in pathwise:
+        pathwise.append(("correction-forms-pathwise", forms, scale))
+    for name, dev, unit in pathwise:
+        peak = dev.peak / unit
         rows.append(IdentityRow(
-            name=name, lhs=dev.peak, rhs=0.0,
-            paired_stderr=0.0, passed=bool(dev.peak <= _PATHWISE_BOUND),
+            name=name, lhs=peak, rhs=0.0,
+            paired_stderr=0.0, passed=bool(peak <= _PATHWISE_BOUND),
         ))
     bias_sq = corr.mean @ corr.mean
     rows.append(IdentityRow(
@@ -527,8 +557,10 @@ def gain(alpha, sigma, T, n, reps, seed, *, include_risk_difference=True,
 
     The formula path evaluates
     2 (n-2)^2 E[(sum_{l<=n} (pi (l-1/2) eta_l - alpha sqrt(2T)/sigma (-1)^l)^2)^{-1}];
-    the risk-difference path, (R - mc_risk(stein, a=2-n))/R, sums n_basis modes
-    (no grid) and shares the seed, so both read each replicate's first n coordinates.
+    the risk-difference path, (R - mc_risk(stein, a=2-n))/R, forms only the
+    Stein block's risk column: the first n coordinates of each replicate, drawn,
+    plus the exact mean of the modes n < k <= n_basis (no grid). It shares the
+    seed, so both paths read the same first n coordinates of each replicate.
 
     At n = 3 the raw replicate 2/Q has infinite variance (P(Q < e) ~ e^{3/2}),
     so the formula path integrates the first coordinate out in closed form:

@@ -238,7 +238,7 @@ PINNED_BYTES = {
                "9b09b6b691a6a278dc9a2bf44287221ba0eb77d95e3346c840743847c123111f"),
     "identity-suite": (["identity-suite", "--n", "4", "--reps", "9000", "--seed", "2",
                         "--grid", "256", "--n-basis", "64"],
-                       "369bc814c5303b2d4dbc6d7b5019bf7add06573767ad7963f1140ac12835c126",
+                       "1c8101ba27c1492d33e2060f64e1e365c93e14d5bff1a4cd9d3ba3f18987f84f",
                        "a98f3b842641197e1aa6211ffe3c910bc69240b277ea3f70d71997ae7bdec08f"),
     "optimal-n": (["optimal-n", "--n-max", "6", "--reps", "4000", "--seed", "11"],
                   "683c88b069f8bcd520043bbc6edeca8b6f162f6dafa646a93adbda9c9a80e3de",
@@ -414,6 +414,22 @@ class TestExitCodes:
         assert f"{column} is nan in row 1" in err
         assert not out.exists()
         assert not (tmp_path / "x.csv.plot.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--sigma", "1e6"],
+        ["--T", "1e6", "--alpha", "1e-6"],
+        ["--n", "5", "--a", "-1", "--sigma", "1e6"],
+    ], ids=["sigma-1e6", "T-1e6-alpha-1e-6", "general-exponent-sigma-1e6"])
+    def test_pathwise_rows_hold_at_a_large_scale(self, tmp_path, capsys, argv):
+        # the pathwise deviations were absolute: rounding of a correction of
+        # size sigma T (its 1/D terms, (sigma T)^2) crossed 1e-10, exit 4
+        out = tmp_path / "x.csv"
+        assert run(["identity-suite", "--reps", "4096", *argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = {row[0]: row for row in csv.reader(out.read_text().splitlines()[1:])}
+        for name in ("chain-rule-pathwise", "correction-forms-pathwise"):
+            if name in rows:
+                assert float(rows[name][1]) <= 1e-10 and rows[name][4] == "1"
 
     def test_memory_error_exits_one_without_output(self, tmp_path, capsys, monkeypatch):
         # optimal-n --n-max 1000000000 asks NumPy for 14.9 GiB and ended in a

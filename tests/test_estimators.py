@@ -97,9 +97,12 @@ class TestCoefficients:
         fnl = CylindricalFunctional(n=4, a=-2.0)
         for seed in SEEDS:
             s = make_sample(seed=seed)
-            c, _ = functional_coefficients(s, U, fnl)
+            c, dn = functional_coefficients(s, U, fnl)
             for k in range(1, 5):
                 assert c[k - 1] == observed_coefficient(s, U, k)
+            # D is the kernel's row-wise einsum of the observable coefficients
+            observed = np.array([[observed_coefficient(s, U, k) for k in range(1, 5)]])
+            assert np.float64(dn).tobytes() == np.einsum("ij,ij->i", observed, observed).tobytes()
         # D is a row-wise einsum and c @ c a dot product; their summation
         # orders give the same bits at this seed (3), not at every seed
         c, dn = functional_coefficients(make_sample(), U, fnl)

@@ -153,19 +153,50 @@ class TestMcRisk:
     def test_coefficient_risks_match_grid_quadrature(self):
         # the engine sums coefficients; the public path API integrates the
         # same replicates on the grid, where the first 64 sine rows are
-        # orthonormal under the trapezoid rule
+        # orthonormal under the trapezoid rule. The Stein risk replaces each
+        # replicate's tail sum_{4<k<=64} lambda_k^2 eta_k^2 by its exact mean
         reps, seed, grid = 64, 13, TimeGrid(256, 1.0)
         w = grid.trapezoid_weights()
+        tail = SineBasis(PARAMS.sigma, PARAMS.T, 64).eigenvalues()[JS4.n:]
         eff, stein = [], []
         for r in range(reps):
             sample = simulate_path(seed, r, U, PARAMS, grid, 64)
             err = stein_estimate(sample, U, JS4).values - sample.u
+            realised = tail * sample.eta[JS4.n:]
             eff.append(float((sample.xu * sample.xu) @ w))
-            stein.append(float((err * err) @ w))
+            stein.append(float((err * err) @ w) - float(realised @ realised)
+                         + float(tail @ tail))
         rep_eff = mc_risk("efficient", U, PARAMS, reps, seed, grid_m=256, n_basis=64)
         rep_stein = mc_risk(JS4, U, PARAMS, reps, seed, grid_m=256, n_basis=64)
         assert rep_eff.mean == pytest.approx(np.mean(eff), rel=1e-12)
         assert rep_stein.mean == pytest.approx(np.mean(stein), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_stein_risk_moves_by_the_exact_tail_mean(self, n):
+        # the modes past n_basis 16 add the constant sum_{16<k<=1024}
+        # lambda_k^2 to every replicate: the mean shifts by it, the spread not
+        fnl = CylindricalFunctional(n=n, a=float(2 - n))
+        short = mc_risk(fnl, U, PARAMS, 5_000, 31, n_basis=16)
+        long = mc_risk(fnl, U, PARAMS, 5_000, 31, n_basis=1024)
+        tail = SineBasis(PARAMS.sigma, PARAMS.T, 1024).eigenvalues()[16:]
+        assert long.mean - short.mean == pytest.approx(float(tail @ tail), rel=1e-12)
+        assert long.stderr == pytest.approx(short.stderr, rel=1e-12)
+
+    def test_stein_block_draws_n_coordinates(self, monkeypatch):
+        # only the first n coordinates enter the correction; the rest of the
+        # n_basis modes enter as the exact tail mean and are never drawn
+        widths = []
+
+        def recording(seed, start, count, dim):
+            widths.append(dim)
+            return np.ones((count, dim))
+
+        monkeypatch.setattr(risk_engine, "_noise_block", recording)
+        mc_risk(JS4, U, PARAMS, 100, 0, n_basis=1024)
+        identity_suite(CylindricalFunctional(n=7, a=-3.0), U, PARAMS, 100, 0,
+                       grid_m=16, n_basis=1024)
+        gain(1.0, 1.0, 1.0, 5, 100, 0, n_basis=1024)
+        assert widths == [4, 7, 5, 5]
 
 
 class TestSampleAverage:
