@@ -266,6 +266,14 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
     replaced by its exact mean sum_k lambda_k^2 (conditional Monte Carlo), so
     only n normals a replicate are drawn. grid_m is read only by the
     correction-forms cross-check; without it the risk column alone is formed.
+
+    With grid_m the block returns six columns: the risk; the one paired
+    difference risk - R - a^2/D - 2a(n-2)/D of the risk identity; ||D log F||^2
+    (the bias bound's right side); per replicate, the largest gap between the
+    unbiased form a^2/D + 2a(n-2)/D and each superharmonic rewrite of it
+    (4 Delta sqrt(F)/sqrt(F), 2 Delta F/F - ||D log F||^2 and, at a = 2-n,
+    -||D log F||^2); the correction-forms deviation (zero off a = 2-n); and
+    the correction coefficients.
     """
     n, a = fnl.n, fnl.a
     sigma, T = params.sigma, params.T
@@ -286,11 +294,15 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
 
     delta_f, delta_sqrt, grad = stein_closed_forms(n, a, dn)
     dlog = a * (n - 2) / dn
-    r = cramer_rao_bound(sigma, T)
-    chain = 4.0 * delta_sqrt - 2.0 * delta_f + grad
+    # the risk identity: risk = R + E[term], term = a^2/D + 2a(n-2)/D
+    paired = risk - cramer_rao_bound(sigma, T) - grad - 2.0 * dlog
+    # the superharmonic rewrites of term, each checked against it pathwise
+    term = grad + 2.0 * dlog
+    rewrites = [4.0 * delta_sqrt, 2.0 * delta_f - grad]
 
     forms = np.zeros(count)
     if a == 2 - n:
+        rewrites.append(-grad)  # harmonic F: term = -||D log F||^2
         # James-Stein form -(n-2) proj/||proj||^2, with ||proj||^2 integrated
         # on the grid through the Gram matrix of the first n sine rows
         grid = TimeGrid(grid_m, T)
@@ -300,12 +312,8 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
         js = (-(n - 2) / norms)[:, None] * c
         forms = np.abs(corr - js).max(axis=1)
 
-    return (risk,
-            risk - r - grad - 2.0 * dlog,     # unbiased-risk
-            risk - r - 4.0 * delta_sqrt,      # sqrt-laplacian-risk
-            risk - r + grad - 2.0 * delta_f,  # log-gradient-risk
-            risk - r + grad,                  # harmonic-risk (James-Stein case)
-            grad, chain, forms, corr)
+    chain = np.abs(np.subtract(rewrites, term)).max(axis=0)
+    return risk, paired, grad, chain, forms, corr
 
 
 def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
@@ -475,13 +483,25 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     Monte Carlo rows compare the measured risk against a closed-form right
     side replicate by replicate; they pass when |mean difference| <= 3
     paired stderr.  Pathwise rows bound exact algebraic identities by
-    1e-10.  The bias row checks ||E corr||^2 <= E||D log F||^2.
+    1e-10.
+
+    The Monte Carlo rows are one paired variable: the unbiased, sqrt-Laplacian,
+    log-gradient and (at a = 2-n) harmonic forms of the term
+    E[a^2/D + 2a(n-2)/D] that the risk adds to R are algebraic rewrites of each
+    other, so every row prints the moments of risk - R - a^2/D - 2a(n-2)/D
+    (the same lhs, rhs and paired_stderr). The chain-rule row checks the
+    rewrites instead: it is the largest gap, over replicates and forms,
+    between each rewrite and the unbiased form, so a wrong closed form fails
+    it pathwise.  The bias row checks ||E corr||^2 <= E||D log F||^2.
     lambda_scale != 1 is a fault-injection hook for negative controls; it
     must be positive.
 
     The risk and bias rows are coefficient sums and do not depend on
     grid_m; the correction-forms row integrates the James-Stein norm on
-    the grid_m-interval grid, as an independent cross-check. Each replicate
+    the grid_m-interval grid, as an independent cross-check. Its trapezoid
+    Gram matrix of the first n sine rows is exact only for n <= grid_m, so a
+    James-Stein functional with grid_m < n raises ValueError before any draw
+    (after the n <= n_basis check). Each replicate
     draws its first n coefficients; the risk's modes n < k <= n_basis enter
     as the exact tail mean sum_k lambda_k^2 (see mc_risk), which cancels
     from every paired difference.
@@ -495,17 +515,19 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     if not lambda_scale > 0:
         raise ValueError(f"lambda_scale must be positive, got {lambda_scale}")
     worker = _stein_worker(fnl, u, params, seed, n_basis, grid_m, lambda_scale)
-    risk, *diffs, grad, chain, forms, corr = _run_blocks(worker, reps, workers)
+    if fnl.is_james_stein and grid_m < fnl.n:
+        # the trapezoid Gram matrix of the first n sine rows is exact only
+        # for n <= grid_m
+        raise ValueError(f"the James-Stein norm at n={fnl.n} needs grid_m >= n, "
+                         f"got grid_m={grid_m}")
+    risk, d, grad, chain, forms, corr = _run_blocks(worker, reps, workers)
 
-    names = ["unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk", "harmonic-risk"]
-    rows = []
-    for name, d in zip(names, diffs):
-        if name == "harmonic-risk" and not fnl.is_james_stein:
-            continue  # the harmonic form only collapses at a = 2-n
-        rows.append(IdentityRow(
-            name=name, lhs=risk.mean, rhs=risk.mean - d.mean,
-            paired_stderr=d.stderr, passed=bool(abs(d.mean) <= 3.0 * d.stderr),
-        ))
+    names = ["unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk"]
+    if fnl.is_james_stein:
+        names.append("harmonic-risk")  # the harmonic form only collapses at a = 2-n
+    rows = [IdentityRow(name=name, lhs=risk.mean, rhs=risk.mean - d.mean,
+                        paired_stderr=d.stderr, passed=bool(abs(d.mean) <= 3.0 * d.stderr))
+            for name in names]
     scale = params.sigma * params.T
     pathwise = [("chain-rule-pathwise", chain, scale * scale)]
     if fnl.is_james_stein:

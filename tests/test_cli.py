@@ -383,6 +383,27 @@ class TestExitCodes:
         assert "n=40 exceeds n_basis=16" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("n, grid", [(3, 2), (4, 3), (5, 4), (8, 5)])
+    def test_james_stein_grid_coarser_than_n_rejected(self, tmp_path, capsys, n, grid):
+        # the trapezoid Gram matrix of the first n sine rows is exact only for
+        # n <= grid: each of these exited 4 on a correct program, with
+        # correction-forms-pathwise deviations of 1.3 to 142
+        out = tmp_path / "x.csv"
+        assert run(["identity-suite", "--n", str(n), "--grid", str(grid), "--reps", "200",
+                    "--n-basis", "16", "--out", str(out)]) == 1
+        assert f"n={n} needs grid_m >= n, got grid_m={grid}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--n", "4", "--grid", "4"],
+                                      ["--n", "5", "--a", "-1", "--grid", "2"]],
+                             ids=["james-stein-grid-n", "general-exponent-grid-2"])
+    def test_grid_rule_reaches_only_the_james_stein_norm(self, tmp_path, capsys, argv):
+        # a grid of n intervals is enough, and a run off a = 2-n never reads it
+        out = tmp_path / "x.csv"
+        assert run(["identity-suite", *argv, "--reps", "200", "--n-basis", "16",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("argv", [
         ["bayes", "--tau", "1e300", "--grid", "4", "--reps", "4"],
         ["filter", "--sigma", "1e300", "--grid", "4"],

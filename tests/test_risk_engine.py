@@ -129,6 +129,11 @@ class TestMcRisk:
             mc_risk(fnl, U, PARAMS, 100, 0, grid_m=32, n_basis=16)
         with pytest.raises(ValueError, match="n=40 exceeds n_basis=16"):
             identity_suite(fnl, U, PARAMS, 100, 0, grid_m=32, n_basis=16)
+        # the n > n_basis check comes first, then the grid the James-Stein norm needs
+        with pytest.raises(ValueError, match="n=40 exceeds n_basis=16"):
+            identity_suite(fnl, U, PARAMS, 100, 0, grid_m=8, n_basis=16)
+        with pytest.raises(ValueError, match="n=4 needs grid_m >= n, got grid_m=3"):
+            identity_suite(JS4, U, PARAMS, 100, 0, grid_m=3, n_basis=16)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -310,16 +315,21 @@ class TestDrawBuffer:
         assert peak < 16 * 2**20
 
     def test_stein_block_scales_its_draws_in_place(self, monkeypatch):
-        # the draws of a 4096-replicate block at n_basis 1024 are 32 MiB; the
-        # error coefficients, as a second array, took the peak to 65 MiB
+        # the block draws 4096 x n: at n = n_basis = 1024 the draws, the
+        # coefficients c and the correction are 32 MiB each, and the risk
+        # column alone (no grid) peaks at 96.1 MiB. The error coefficients
+        # formed as a new array (eta * lam + corr) took it to 128 MiB, and
+        # as two copies to 160 MiB; the bound leaves 8 MiB over the in-place
+        # peak and a whole 32 MiB array below the first of those
+        fnl = CylindricalFunctional(n=1024, a=-1022.0)
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
-            stein_worker(JS4, n_basis=1024, grid_m=2048)(0, 4096)
+            stein_worker(fnl, n_basis=1024, grid_m=None)(0, 4096)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 104 * 2**20
 
 
 def stein_worker(fnl, lambda_scale=1.0, n_basis=16, grid_m=32):
@@ -512,6 +522,33 @@ class TestIdentitySuite:
             assert (r1.lhs, r1.rhs, r1.paired_stderr) == pytest.approx(
                 (r2.lhs, r2.rhs, r2.paired_stderr), rel=1e-12)
             assert r1.passed == r2.passed
+
+    @pytest.mark.parametrize("fnl", [JS4, CylindricalFunctional(n=5, a=-1.0)],
+                             ids=["james-stein", "general-exponent"])
+    def test_monte_carlo_rows_are_one_variable(self, fnl):
+        # every superharmonic form rewrites the same term a^2/D + 2a(n-2)/D,
+        # so the rows are one paired difference, printed once per form
+        report = identity_suite(fnl, U, PARAMS, 5_000, 20, grid_m=64, n_basis=16)
+        rows = [row for row in report.rows if not row.name.endswith(("-pathwise", "-bound"))]
+        assert len(rows) == 3 + fnl.is_james_stein
+        unbiased = report.row("unbiased-risk")
+        for row in rows:
+            assert (row.lhs, row.rhs, row.paired_stderr, row.passed) == (
+                unbiased.lhs, unbiased.rhs, unbiased.paired_stderr, unbiased.passed), row.name
+
+    @pytest.mark.parametrize("fnl, peak", [(CylindricalFunctional(n=5, a=-1.0), 0.847),
+                                           (JS4, 1.69)], ids=["general-exponent", "james-stein"])
+    def test_wrong_closed_form_fails_pathwise(self, monkeypatch, fnl, peak):
+        # the Laplacian forms of F_{n+1} keep the chain rule between them
+        # exact; only their gap from the unbiased form a^2/D + 2a(n-2)/D,
+        # 2a/D per replicate, shows the fault
+        real = risk_engine.stein_closed_forms
+        monkeypatch.setattr(risk_engine, "stein_closed_forms",
+                            lambda n, a, dn: real(n + 1, a, dn))
+        report = identity_suite(fnl, U, PARAMS, 4096, 7, grid_m=64, n_basis=16)
+        row = report.row("chain-rule-pathwise")
+        assert not row.passed
+        assert row.lhs == pytest.approx(peak, rel=1e-2)
 
     def test_worker_invariance(self):
         one = identity_suite(JS4, U, PARAMS, 9_000, 2, grid_m=256, n_basis=64)
