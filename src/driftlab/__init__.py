@@ -13,9 +13,6 @@ from .estimators import (
     bayes_estimate,
     bayes_mse_decomposition,
     bayes_risk_closed_form,
-    efficient_estimate,
-    functional_coefficients,
-    log_gradient_norm_sq,
     posterior_drift_curve,
     scaled_projection,
     stein_correction,

@@ -25,6 +25,7 @@ from .process_sim import (
     VolatilityProfile,
     _check_nonzero,
     _drift_offsets,
+    _path_coefficients,
     check_breakpoints,
     cumulative_trapezoid,
     nested_integral,
@@ -34,10 +35,9 @@ from .process_sim import (
 
 @dataclass(frozen=True)
 class EstimateSeries:
-    """Grid values of one estimator, tagged with its family label."""
+    """Grid values of one estimator."""
 
     values: np.ndarray
-    label: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -123,30 +123,6 @@ def stein_terms(eta, lam, b, a, start):
     return c, dn, (a / dn)[:, None] * c
 
 
-def _sample_terms(sample, u, fnl):
-    """stein_terms of one sample's first n coefficients, as a one-row block."""
-    if fnl.n > sample.n_basis:
-        raise ValueError(f"functional needs {fnl.n} coefficients, sample has {sample.n_basis}")
-    lam, matched = _drift_offsets(u, fnl.n, sample.params)
-    b = matched if fnl.b is None else fnl.b
-    return stein_terms(sample.eta[None, : fnl.n], lam, b, fnl.a, sample.replicate_index)
-
-
-def functional_coefficients(sample, u, fnl):
-    """Coefficient vector c_i = lambda_i^{-1} X^u(h_i) + b_i and its norm Dn.
-
-    With drift-matched offsets c_i = lambda_i^{-1} X(h_i), the observable
-    coefficients of the path.
-    """
-    c, dn, _ = _sample_terms(sample, u, fnl)
-    return c[0], float(dn[0])
-
-
-def efficient_estimate(sample: PathSample) -> EstimateSeries:
-    """The observed path itself; unbiased and attains the variance bound."""
-    return EstimateSeries(values=sample.x, label="efficient")
-
-
 def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params):
     """Shrinkage curve int_0^t sigma^2/(tau^2+sigma^2) dv + int_0^t tau^2/(tau^2+sigma^2) dX.
 
@@ -174,7 +150,7 @@ def bayes_estimate(sample: PathSample, spec: BayesSpec, sigma_profile=None) -> E
     curve = posterior_drift_curve(
         sample.x, spec.v, spec.tau, sigma_profile, sample.grid, sample.params
     )
-    return EstimateSeries(values=curve, label="bayes")
+    return EstimateSeries(values=curve)
 
 
 def bayes_risk_closed_form(spec: BayesSpec, sigma_profile, T) -> float:
@@ -216,12 +192,9 @@ def scaled_projection(sample: PathSample, u: DriftSpec, n: int) -> EstimateSerie
     coefficients lambda_k^{-1} X(h_k) = eta_k/lambda_k + b_k (bit for bit the
     functional's c_k) against the orthonormal functions lambda_k^{-1} Gamma h_k.
     """
-    if n < 1 or n > sample.n_basis:
-        raise ValueError(f"projection order {n} out of range 1..{sample.n_basis}")
-    lam, b = _drift_offsets(u, n, sample.params)
+    c, _ = _path_coefficients(sample, u, n)
     basis = SineBasis(sample.params.sigma, sample.params.T, n)
-    values = basis.synthesize(sample.eta[:n] / lam + b, sample.grid)
-    return EstimateSeries(values=values, label="scaled-projection")
+    return EstimateSeries(values=basis.synthesize(c[0], sample.grid))
 
 
 def stein_correction(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional) -> EstimateSeries:
@@ -231,16 +204,18 @@ def stein_correction(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctiona
     for a = 2-n this is the James-Stein form
     -(n-2) * proj(t) / ||proj||^2 applied to the scaled projection.
     """
-    corr = _sample_terms(sample, u, fnl)[2]
     params = sample.params
+    b = fnl.offsets(u, params)
+    _, lam = _path_coefficients(sample, u, fnl.n, b)
+    corr = stein_terms(sample.eta[None, : fnl.n], lam, b, fnl.a, sample.replicate_index)[2]
     values = SineBasis(params.sigma, params.T, fnl.n).synthesize(corr[0], sample.grid)
-    return EstimateSeries(values=values, label="stein-correction")
+    return EstimateSeries(values=values)
 
 
 def stein_estimate(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional) -> EstimateSeries:
     """Observed path plus the Stein correction."""
     corr = stein_correction(sample, u, fnl)
-    return EstimateSeries(values=sample.x + corr.values, label="stein")
+    return EstimateSeries(values=sample.x + corr.values)
 
 
 def stein_closed_forms(n, a, dn):
@@ -251,9 +226,3 @@ def stein_closed_forms(n, a, dn):
     per-replicate norms.
     """
     return a * (n + a - 2) / dn, (a * (n - 2 + a / 2) / 2) / dn, a * a / dn
-
-
-def log_gradient_norm_sq(sample: PathSample, u: DriftSpec, fnl: CylindricalFunctional) -> float:
-    """||D log F||^2_{L^2(dt)} = a^2 / Dn for any exponent a."""
-    _, dn = functional_coefficients(sample, u, fnl)
-    return stein_closed_forms(fnl.n, fnl.a, dn)[2]

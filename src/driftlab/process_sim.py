@@ -93,10 +93,6 @@ class VolatilityProfile:
     def constant(cls, level):
         return cls(levels=(float(level),))
 
-    @property
-    def is_constant(self):
-        return not self.breakpoints
-
     def value(self, t):
         t = np.asarray(t, dtype=float)
         idx = np.searchsorted(np.asarray(self.breakpoints), t, side="right")
@@ -604,24 +600,30 @@ def simulate_path(seed, replicate, u, params, grid, n_basis):
     return observed_path(xu, u, grid, params, eta=eta, seed=seed, replicate=replicate)
 
 
-def observed_coefficient(sample, u, k, method="identity"):
+def _path_coefficients(sample, u, n, b=None):
+    """(c, lam): sample's first n coefficients c = eta/lam + b as a one-row
+    block, and lam for those n modes.
+
+    b None is the drift-matched offsets <u, h_k>/lam, which make c_k the
+    observable lambda_k^{-1} X(h_k); explicit offsets never read u. The
+    order is stein_terms's, so c is bit for bit the kernel's.
+    """
+    if not 1 <= n <= sample.n_basis:
+        raise ValueError(f"coefficient index {n} out of range 1..{sample.n_basis} (n_basis)")
+    if b is None:
+        lam, b = _drift_offsets(u, n, sample.params)
+    else:
+        lam = SineBasis(sample.params.sigma, sample.params.T, n).eigenvalues()
+    return sample.eta[None, :n] / lam + b, lam
+
+
+def observed_coefficient(sample, u, k):
     """lambda_k^{-1} X(h_k), the k-th observable coefficient of the path.
 
-    method="identity" uses X^u(h_k) = eta_k: exact, and bit for bit the kernel's c_k.
-    method="quadrature" recomputes X(h_k) = int dh_k/dt dX by left-point
-    Riemann-Stieltjes sums over the stored grid path, which carries
-    truncation plus discretization error and is meant for cross-checking.
+    X^u(h_k) is eta_k, so the coefficient is exactly eta_k/lambda_k + b_k:
+    bit for bit the kernel's c_k.
     """
-    if method == "identity":
-        if k > sample.n_basis:
-            raise ValueError(f"coefficient {k} beyond simulated n_basis={sample.n_basis}")
-        lam, b = _drift_offsets(u, k, sample.params)
-        return sample.eta[k - 1] / lam[-1] + b[-1]
-    if method == "quadrature":
-        basis = SineBasis(sample.params.sigma, sample.params.T, k)
-        hdot = basis.derivative_matrix(sample.grid.points[:-1])[-1]
-        return float(np.sum(hdot * np.diff(sample.x))) / basis.eigenvalues()[-1]
-    raise ValueError(f"unknown method {method!r}")
+    return _path_coefficients(sample, u, k)[0][0, -1]
 
 
 # ---------------------------------------------------------------------------

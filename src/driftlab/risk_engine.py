@@ -66,9 +66,6 @@ class RiskReport:
         if not self.stderr >= 0.0:
             raise ValueError("stderr must be nonnegative")
 
-    def interval(self, k: float = 3.0):
-        return self.mean - k * self.stderr, self.mean + k * self.stderr
-
 
 @dataclass(frozen=True)
 class GainPoint:
@@ -105,10 +102,6 @@ class GainEstimate:
 
     formula: RiskReport
     risk_difference: RiskReport | None = None
-
-    @property
-    def mean(self):
-        return self.formula.mean
 
 
 @dataclass(frozen=True)

@@ -91,6 +91,23 @@ def kernel_eigensystem(sigma, T, m):
     return vals, vecs, t
 
 
+def paley_wiener_coefficient(sample, k):
+    """lambda_k^{-1} X(h_k) with X(h_k) = int_0^T dh_k/dt dX, by left-point
+    Riemann-Stieltjes sums over the sample's stored grid path.
+
+    dh_k/dt = (1/sigma) sqrt(2/T) cos((k - 1/2) pi t / T) and
+    lambda_k = sigma T / (pi (k - 1/2)) are written out here, so the value
+    carries the path's truncation and discretization error and none of the
+    package's coefficient arithmetic.
+    """
+    sigma, T = sample.params.sigma, sample.params.T
+    t = sample.grid.points[:-1]
+    freq = (k - 0.5) * np.pi / T
+    hdot = np.sqrt(2.0 / T) * np.cos(freq * t) / sigma
+    lam = sigma * T / (np.pi * (k - 0.5))
+    return float(np.sum(hdot * np.diff(sample.x))) / lam
+
+
 def nested_time_integral(rate_fn, T, m=1_000_000):
     """int_0^T int_0^t rate(s) ds dt on m cells.
 

@@ -15,9 +15,6 @@ from driftlab import (
     bayes_estimate,
     bayes_mse_decomposition,
     bayes_risk_closed_form,
-    efficient_estimate,
-    functional_coefficients,
-    log_gradient_norm_sq,
     observed_coefficient,
     observed_path,
     reconstruct_path,
@@ -27,7 +24,7 @@ from driftlab import (
     stein_correction,
     stein_estimate,
 )
-from driftlab.estimators import stein_closed_forms
+from driftlab.estimators import stein_closed_forms, stein_terms
 
 import oracles
 
@@ -51,6 +48,15 @@ AGREE_DRIFTS = {
 
 def make_sample(seed=3, replicate=0, n_basis=64, grid=GRID, params=PARAMS, u=U):
     return simulate_path(seed, replicate, u, params, grid, n_basis)
+
+
+def path_terms(s, u, fnl):
+    """(c, D) of stein_terms on the one-row block of the sample's first n
+    coefficients."""
+    lam = SineBasis(s.params.sigma, s.params.T, fnl.n).eigenvalues()
+    c, dn, _ = stein_terms(s.eta[None, : fnl.n], lam, fnl.offsets(u, s.params), fnl.a,
+                           s.replicate_index)
+    return c[0], float(dn[0])
 
 
 def sample_with_eta(eta, u=U, grid=GRID, params=PARAMS):
@@ -97,7 +103,7 @@ class TestCoefficients:
         fnl = CylindricalFunctional(n=4, a=-2.0)
         for seed in SEEDS:
             s = make_sample(seed=seed)
-            c, dn = functional_coefficients(s, U, fnl)
+            c, dn = path_terms(s, U, fnl)
             for k in range(1, 5):
                 assert c[k - 1] == observed_coefficient(s, U, k)
             # D is the kernel's row-wise einsum of the observable coefficients
@@ -105,7 +111,7 @@ class TestCoefficients:
             assert np.float64(dn).tobytes() == np.einsum("ij,ij->i", observed, observed).tobytes()
         # D is a row-wise einsum and c @ c a dot product; their summation
         # orders give the same bits at this seed (3), not at every seed
-        c, dn = functional_coefficients(make_sample(), U, fnl)
+        c, dn = path_terms(make_sample(), U, fnl)
         assert dn == float(c @ c)
 
     @pytest.mark.parametrize("kind", sorted(AGREE_DRIFTS))
@@ -116,7 +122,7 @@ class TestCoefficients:
         for seed in SEEDS:
             s = simulate_path(seed, 0, u, AGREE_PARAMS, AGREE_GRID, 8)
             for n in (3, 4, 7):
-                c, _ = functional_coefficients(s, u, CylindricalFunctional(n=n, a=-1.0))
+                c, _ = path_terms(s, u, CylindricalFunctional(n=n, a=-1.0))
                 for k in range(1, n + 1):
                     assert observed_coefficient(s, u, k).tobytes() == c[k - 1].tobytes()
                 synth = SineBasis(AGREE_PARAMS.sigma, AGREE_PARAMS.T, n).synthesize(c, s.grid)
@@ -125,7 +131,19 @@ class TestCoefficients:
     def test_dimension_exceeding_sample(self):
         s = make_sample(n_basis=8)
         with pytest.raises(ValueError):
-            functional_coefficients(s, U, CylindricalFunctional(n=16, a=-2.0))
+            stein_correction(s, U, CylindricalFunctional(n=16, a=-2.0))
+
+    @pytest.mark.parametrize("call, k", [
+        (observed_coefficient, 0), (observed_coefficient, -1), (observed_coefficient, 9),
+        (scaled_projection, 0), (scaled_projection, -1), (scaled_projection, 9),
+        (lambda s, u, n: stein_correction(s, u, CylindricalFunctional(n=n, a=-1.0)), 9),
+    ], ids=["coefficient-0", "coefficient-neg", "coefficient-9", "projection-0",
+            "projection-neg", "projection-9", "correction-9"])
+    def test_index_range_message(self, call, k):
+        # one check, in the package's terms, for every per-path coefficient
+        s = make_sample(n_basis=8)
+        with pytest.raises(ValueError, match=re.escape("out of range 1..8")):
+            call(s, U, k)
 
     def test_exact_zero_denominator_raises(self):
         lam = SineBasis(PARAMS.sigma, PARAMS.T, 3).eigenvalues()
@@ -134,15 +152,7 @@ class TestCoefficients:
         s = sample_with_eta(eta)
         fnl = CylindricalFunctional(n=3, a=-1.0, b=b)
         with pytest.raises(DegenerateSampleError):
-            functional_coefficients(s, U, fnl)
-
-
-class TestEfficient:
-    def test_is_the_observation(self):
-        s = make_sample()
-        est = efficient_estimate(s)
-        np.testing.assert_array_equal(est.values, s.x)
-        assert est.label == "efficient"
+            stein_correction(s, U, fnl)
 
 
 class TestSteinCorrection:
@@ -155,6 +165,16 @@ class TestSteinCorrection:
         s = make_sample()
         corr = stein_correction(s, U, CylindricalFunctional(n=5, a=0.0))
         np.testing.assert_array_equal(corr.values, np.zeros_like(corr.values))
+
+    def test_explicit_offsets_never_read_the_drift(self):
+        # a drift tabulated up to T=2 cannot be read at the model's T=1, and
+        # explicit offsets need no reading of it, as in mc_risk
+        grid = TimeGrid(16, 2.0)
+        u = DriftSpec.from_tabulated_derivative(np.cos(grid.points), grid)
+        fnl = CylindricalFunctional(n=3, a=-1.0, b=[0.1, 0.2, 0.3])
+        s = make_sample()
+        values = stein_correction(s, u, fnl).values
+        assert values.tobytes() == stein_correction(s, DriftSpec.zero(), fnl).values.tobytes()
 
     def test_estimate_is_x_plus_correction(self):
         s = make_sample()
@@ -214,7 +234,7 @@ class TestSteinCorrection:
             s = make_sample(seed=17, replicate=rep, n_basis=16)
             corr = stein_correction(s, U, fnl).values
             quad = float((corr * corr) @ w)
-            closed = log_gradient_norm_sq(s, U, fnl)
+            closed = stein_closed_forms(fnl.n, fnl.a, path_terms(s, U, fnl)[1])[2]
             worst = max(worst, abs(quad / closed - 1.0))
         assert worst < 1e-6
 
@@ -225,7 +245,7 @@ class TestSteinCorrection:
         s = make_sample(seed=8, grid=grid, n_basis=512)
         fnl = CylindricalFunctional(n=4, a=-2.0)
         corr = stein_correction(s, U, fnl).values
-        c = np.array([observed_coefficient(s, U, k, method="quadrature") for k in range(1, 5)])
+        c = np.array([oracles.paley_wiener_coefficient(s, k) for k in range(1, 5)])
         dn = float(c @ c)
         e_rows = np.stack(
             [np.asarray([np.sqrt(2.0) * np.sin((k - 0.5) * np.pi * t) for t in grid.points])
@@ -243,25 +263,26 @@ class TestLaplacianRatios:
         s = sample_with_eta(eta, u=DriftSpec.zero())
         fnl = CylindricalFunctional(n=4, a=-2.0, b=np.zeros(4))
         # single coefficient 2 -> Dn = 4
-        dn = functional_coefficients(s, DriftSpec.zero(), fnl)[1]
-        df, dsqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
+        dn = path_terms(s, DriftSpec.zero(), fnl)[1]
+        df, dsqrt, grad = stein_closed_forms(fnl.n, fnl.a, dn)
         assert df == 0.0
         assert dsqrt == -0.25
-        assert log_gradient_norm_sq(s, DriftSpec.zero(), fnl) == 1.0
+        assert grad == 1.0
 
     def test_unit_denominator_n3(self):
         eta = np.zeros(3)
         eta[0] = SineBasis(PARAMS.sigma, PARAMS.T, 1).eigenvalues()[0]
         s = sample_with_eta(eta, u=DriftSpec.zero())
         fnl = CylindricalFunctional(n=3, a=-1.0, b=np.zeros(3))
-        assert log_gradient_norm_sq(s, DriftSpec.zero(), fnl) == 1.0
+        dn = path_terms(s, DriftSpec.zero(), fnl)[1]
+        assert stein_closed_forms(fnl.n, fnl.a, dn)[2] == 1.0
 
     def test_superharmonic_signs(self):
         for rep in range(200):
             s = make_sample(seed=77, replicate=rep, n_basis=16)
             for a in (-2.0, -1.0, -3.9):
                 fnl = CylindricalFunctional(n=4, a=a)
-                dn = functional_coefficients(s, U, fnl)[1]
+                dn = path_terms(s, U, fnl)[1]
                 df, dsqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
                 assert dsqrt < 0.0  # a in (4-2n, 0)
                 if a >= -2.0:
@@ -273,9 +294,8 @@ class TestLaplacianRatios:
             s = make_sample(seed=13, replicate=rep, n_basis=16)
             for a in (-2.0, -1.3, -3.5, 0.0):
                 fnl = CylindricalFunctional(n=5, a=a)
-                dn = functional_coefficients(s, U, fnl)[1]
-                df, dsqrt, _ = stein_closed_forms(fnl.n, fnl.a, dn)
-                grad = log_gradient_norm_sq(s, U, fnl)
+                dn = path_terms(s, U, fnl)[1]
+                df, dsqrt, grad = stein_closed_forms(fnl.n, fnl.a, dn)
                 assert abs(4.0 * dsqrt - (2.0 * df - grad)) < 1e-12
 
     @pytest.mark.parametrize("n, a", [(4, -2.0), (5, -1.3), (7, 0.5)])

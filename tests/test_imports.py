@@ -2,11 +2,13 @@
 tables. Each SciPy function is loaded at its first use, and the gain engine
 loads scipy.special, and the block runner the noise tables, in the calling
 process before a pool forks, so the workers inherit them. No module imports
-ctypes: the noise layer re-keys Philox through its public state setter."""
+ctypes: the noise layer re-keys Philox through its public state setter.
+README's library example imports only names the package has."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 import driftlab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_python(code, *args):
@@ -113,3 +116,14 @@ def test_no_module_imports_ctypes():
             if any(name.split(".")[0] == "ctypes" for name in names):
                 importers.add(path.stem)
     assert importers == set()
+
+
+def test_readme_library_imports_resolve():
+    # the from-driftlab import of README's first Library example runs, so a
+    # name removed from the package cannot linger in the docs
+    block = re.search(r"^## Library\n.*?```python\n(.*?)```", README.read_text(),
+                      re.DOTALL | re.MULTILINE).group(1)
+    imports = [node for node in ast.parse(block).body
+               if isinstance(node, ast.ImportFrom) and node.module == "driftlab"]
+    assert imports
+    exec(compile(ast.Module(body=imports, type_ignores=[]), str(README), "exec"), {})

@@ -74,10 +74,8 @@ class TestModelTypes:
 
     def test_profile_constant_and_piecewise(self):
         const = VolatilityProfile.constant(2.0)
-        assert const.is_constant
         assert float(const.value(0.3)) == 2.0
         two = VolatilityProfile(levels=(1.0, 3.0), breakpoints=(0.5,))
-        assert not two.is_constant
         assert float(two.value(0.25)) == 1.0
         assert float(two.value(0.75)) == 3.0
         segs = list(process_sim.profile_segments(1.0, two))
@@ -421,20 +419,13 @@ class TestObservedCoefficients:
             assert observed_coefficient(s, u, k) == expected
 
     def test_quadrature_mode_near_identity_mode(self):
+        # the Paley-Wiener integral of the stored grid path against dh_k/dt
         grid = TimeGrid(2048, 1.0)
         u = DriftSpec.linear(1.0)
         s = simulate_path(21, 0, u, PARAMS, grid, 512)
         for k in (1, 2, 3):
-            ident = observed_coefficient(s, u, k, method="identity")
-            quadr = observed_coefficient(s, u, k, method="quadrature")
-            assert abs(ident - quadr) < 2e-2
-
-    def test_unknown_method_rejected(self):
-        grid = TimeGrid(16, 1.0)
-        u = DriftSpec.linear(1.0)
-        s = simulate_path(0, 0, u, PARAMS, grid, 8)
-        with pytest.raises(ValueError):
-            observed_coefficient(s, u, 1, method="midpoint")
+            quadr = oracles.paley_wiener_coefficient(s, k)
+            assert abs(observed_coefficient(s, u, k) - quadr) < 2e-2
 
 
 class TestStieltjesCumulative:

@@ -791,11 +791,6 @@ class TestReportTypes:
         with pytest.raises(ValueError):
             RiskReport(mean=0.0, stderr=0.1, reps=1, seed=0, label="x")
 
-    def test_interval(self):
-        rep = RiskReport(mean=1.0, stderr=0.1, reps=100, seed=0, label="x")
-        lo, hi = rep.interval()
-        assert (lo, hi) == (0.7, 1.3)
-
     def test_identity_row_explains_its_bound(self):
         pathwise = IdentityRow("chain-rule-pathwise", 3e-9, 0.0, 0.0, False)
         assert pathwise.explain() == (
