@@ -4,10 +4,11 @@ Replicates are partitioned into fixed-size blocks; block results are
 reduced in replicate-index order, so every report is bit-reproducible
 from (seed, reps, grid, n_basis) regardless of the worker count.
 
-SciPy's Faddeeva function, which only the n = 3 gain column needs, is loaded
-by `_gain_moments` in the calling process, before any pool forks, so the
-workers inherit it and importing driftlab loads no SciPy. `_run_blocks`
-builds the noise tables (`process_sim._array_tables`) there for the same reason.
+No SciPy module is loaded here: the Faddeeva function of the n = 3 gain
+column is `_faddeeva`, NumPy code, so importing driftlab and every gain call
+(serial, or in a pool's workers) load no SciPy. `_run_blocks` builds the
+noise tables (`process_sim._array_tables`) in the calling process before a
+pool forks, so that the workers inherit them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -381,7 +382,7 @@ def _gain_column(z, w, delta, start, last=False):
     g = 2.0 * (n - 2) ** 2 / s
     if n[0] == 3:
         g[:, 0] = 2.0 * _conditional_inverse_moment(delta[0], w[0], r)
-    elif last:
+    if g.shape[1] == 1:
         # NumPy sums a lone column pairwise but each column of a wider array
         # in replicate order, the order the whole n = 3..n_max array was
         # summed in: two copies keep the means' bits
@@ -393,10 +394,112 @@ def _conditional_inverse_moment(delta, w, r):
     """E[1/(Y^2 + r^2)] for Y ~ N(delta, w^2) and r > 0: the Gaussian-Cauchy
     convolution, sqrt(pi/2)/(w r) Re w((delta + i r)/(w sqrt 2)), with w(.)
     the Faddeeva function."""
-    from scipy.special import wofz  # already loaded by _gain_moments
-
     return (math.sqrt(math.pi / 2) / (w * r)
-            * wofz((delta + 1j * r) / (w * math.sqrt(2.0))).real)
+            * _faddeeva((delta + 1j * r) / (w * math.sqrt(2.0))).real)
+
+
+# _faddeeva's three forms: the continued fraction's depth and the radius past
+# which it is used, Weideman's N, and the strip 0 <= Im z < _AXIS_BAND where
+# the Taylor series about the real axis replaces Weideman's form
+_CF_LEVELS = 20
+_CF_RADIUS = 8.0
+_WEIDEMAN_N = 40
+_AXIS_BAND = 0.05
+_TAYLOR_TERMS = 24
+_EXP_TAIL = 27.3  # exp(-x^2) is 0 in double precision for |x| past this
+
+
+def _faddeeva(z):
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-i z) of a complex array
+    with Im z >= 0 (nan where z is not finite), to within about 1e-13
+    relative on Re w and on |w|, elementwise: each value depends on its own
+    z alone, whatever else the array holds. So no complex product is formed
+    in place: NumPy multiplies a one-element array in place as a reduction,
+    whose rounding differs from its elementwise loop's.
+
+    Three forms, each used only where some z falls in its region:
+    - |z| >= _CF_RADIUS: the Laplace continued fraction
+      i/sqrt(pi) / (z - (1/2)/(z - (2/2)/(z - ...))), _CF_LEVELS deep and
+      evaluated bottom-up; within _AXIS_BAND of the real axis, where a
+      rational form misses it, exp(-z^2) is added (until it underflows);
+    - elsewhere with Im z >= _AXIS_BAND: Weideman's rational form
+      (SIAM J. Numer. Anal. 31(5), 1994) with N = _WEIDEMAN_N;
+    - elsewhere: the Taylor series in i y about x = Re z, from
+      w(x) = exp(-x^2) + i Im w(x) (the imaginary part from Weideman's form,
+      whose real part cancels near the axis), w'(x) = -2x w(x) + 2i/sqrt(pi)
+      and w^(n+1)(x) = -2x w^(n)(x) - 2n w^(n-1)(x), _TAYLOR_TERMS terms.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.full(z.shape, complex(math.nan, math.nan))
+    finite = np.isfinite(z)
+    far = finite & (np.abs(z) >= _CF_RADIUS)
+    if far.any():
+        zf = z[far]
+        t = zf
+        for k in range(_CF_LEVELS, 0, -1):
+            t = zf - (0.5 * k) / t
+        wf = 1j / (math.sqrt(math.pi) * t)
+        axis = (zf.imag < _AXIS_BAND) & (np.abs(zf.real) < _EXP_TAIL)
+        if axis.any():
+            wf[axis] += np.exp(-zf[axis] ** 2)
+        out[far] = wf
+    inner = finite & ~far
+    if inner.any():
+        zi = z[inner]
+        axis = zi.imag < _AXIS_BAND
+        x, y = zi.real[axis], zi.imag[axis]
+        zi[axis] = x  # Weideman's form on the axis, for Im w(x) alone
+        wi = _weideman(zi)
+        if axis.any():
+            wi[axis] = _axis_taylor(x, y, wi.imag[axis])
+        out[inner] = wi
+    return out
+
+
+@cache
+def _weideman_coefficients():
+    """L and the polynomial coefficients (highest degree first) of Weideman's
+    form, built once per process at its first use: a_j is the j-th cosine
+    coefficient of f(t) = exp(-t^2) (L^2 + t^2) on the nodes
+    t_k = L tan(k pi / 4N), |k| < 2N."""
+    n = _WEIDEMAN_N
+    m = 2 * n
+    scale = math.sqrt(n / math.sqrt(2.0))
+    k = np.arange(-m + 1, m)
+    t = scale * np.tan(k * (math.pi / (2 * m)))
+    f = np.exp(-t * t) * (scale * scale + t * t)
+    a = np.cos(np.outer(np.arange(n, 0, -1), k) * (math.pi / m)) @ f / (2 * m)
+    a.flags.writeable = False  # cached: shared by every caller
+    return scale, a
+
+
+def _weideman(z):
+    """Weideman's rational form of w(z) for Im z >= 0:
+    2 p(Z)/(L - i z)^2 + 1/(sqrt(pi) (L - i z)), Z = (L + i z)/(L - i z)."""
+    scale, a = _weideman_coefficients()
+    d = scale - 1j * z
+    zz = (scale + 1j * z) / d
+    p = np.full(z.shape, complex(a[0]))
+    for c in a[1:]:
+        p = p * zz
+        p += c
+    return p * (2.0 / (d * d)) + (1.0 / math.sqrt(math.pi)) / d
+
+
+def _axis_taylor(x, y, im_w):
+    """w(x + i y) from the Taylor series in i y about the real point x, given
+    Im w(x); term n is c_n = w^(n)(x) (i y)^n / n!, so that
+    c_{n+1} = -2 i y/(n + 1) (x c_n + i y c_{n-1}) for n >= 1."""
+    iy = 1j * y
+    prev = np.exp(-x * x) + 1j * im_w
+    term = (2j / math.sqrt(math.pi) - 2.0 * x * prev) * iy
+    total = prev + term
+    steps = (-2.0 * iy) / np.arange(2.0, _TAYLOR_TERMS)[:, None]
+    for step in steps:
+        nxt = (x * term + iy * prev) * step
+        total += nxt
+        prev, term = term, nxt
+    return total
 
 
 _CONST_WEIGHTS = np.array([1.0, 9.0, 25.0, 49.0])
@@ -550,11 +653,6 @@ def _gain_moments(alpha, models, n_max, reps, seed, workers, last=False):
     for sigma, T in models:
         params = ModelParams(sigma=sigma, T=T, alpha=alpha)
         rho.append(params.alpha * math.sqrt(2.0 * params.T) / params.sigma)
-    # the n = 3 column needs scipy.special: load it here, before _run_blocks
-    # forks a pool, or every worker of every pooled call imports it anew
-    if n_max == 3 or not last:
-        import scipy.special  # noqa: F401
-
     worker = partial(_gain_block, seed=seed, n_max=n_max, rho=tuple(rho), last=last)
     return _run_blocks(worker, reps, workers)
 

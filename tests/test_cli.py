@@ -221,11 +221,11 @@ PINNED_BYTES = {
                  "9738b96b2f88ad433fd262f9ced58548c0f3802fdb09f05a841bb6d113e271e0",
                  "cea8621d004d376346c4da7088072a457460d92586d4be62aed6945082fc7d77"),
     "gain-curve": (["gain-curve", "--n-max", "6", "--reps", "4000", "--seed", "11"],
-                   "683c88b069f8bcd520043bbc6edeca8b6f162f6dafa646a93adbda9c9a80e3de",
+                   "f8ace2c644c44a63d08fcc58eab7380bb2ebd9f1ed0258a90636ac6550eefd60",
                    "bc23931a279fa9526a787cb7a8c45ce55b11306afd8040eab92cc42b6ed16b33"),
     "gain-surface": (["gain-surface", "--n-max", "4", "--reps", "1500", "--seed", "11",
                       "--sigma-range", "0.5,1,2"],
-                     "e605f3a001090e7264d8868ef231a802a03c878fd8e9e7177b3a4ec75bef049f",
+                     "c7067ba7bd839d73d55982bba22809398ffc57d53aae9c7761951558529771ec",
                      "25dd116db55645f9735af9bf2ee64d1cf17c09c00b24b63283781ef48d4f39ab"),
     "constant": (["constant", "--reps", "5000", "--seed", "11"],
                  "7ad0d9fbf4127bd0650ee73f3497c4abc858c4a15b8317dda4b25a9f523c367b",
@@ -241,7 +241,7 @@ PINNED_BYTES = {
                        "1c8101ba27c1492d33e2060f64e1e365c93e14d5bff1a4cd9d3ba3f18987f84f",
                        "a98f3b842641197e1aa6211ffe3c910bc69240b277ea3f70d71997ae7bdec08f"),
     "optimal-n": (["optimal-n", "--n-max", "6", "--reps", "4000", "--seed", "11"],
-                  "683c88b069f8bcd520043bbc6edeca8b6f162f6dafa646a93adbda9c9a80e3de",
+                  "f8ace2c644c44a63d08fcc58eab7380bb2ebd9f1ed0258a90636ac6550eefd60",
                   "bc23931a279fa9526a787cb7a8c45ce55b11306afd8040eab92cc42b6ed16b33"),
 }
 

@@ -1,9 +1,11 @@
 """Importing driftlab loads NumPy and no SciPy module, and probes no noise
-tables. Each SciPy function is loaded at its first use, and the gain engine
-loads scipy.special, and the block runner the noise tables, in the calling
-process before a pool forks, so the workers inherit them. No module imports
-ctypes: the noise layer re-keys Philox through its public state setter.
-README's library example imports only names the package has."""
+tables. Each SciPy function is loaded at its first use, and the bayes,
+constant and gain subcommands, and a pooled gain curve in its parent and in
+every worker, load none: the n = 3 gain column's Faddeeva function is NumPy
+code. The block runner builds the noise tables in the calling process before
+a pool forks, so the workers inherit them. No module imports ctypes: the
+noise layer re-keys Philox through its public state setter. README's
+library example imports only names the package has."""
 
 import ast
 import json
@@ -32,7 +34,8 @@ def run_python(code, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+SCIPY_MODULES = ("sorted(m for m, mod in sys.modules.items()"
+                 " if m.split('.')[0] == 'scipy' and mod is not None)")
 
 
 def test_import_loads_no_scipy():
@@ -44,9 +47,17 @@ def test_import_loads_no_scipy():
 @pytest.mark.parametrize("argv", [
     ["bayes", "--reps", "64", "--grid", "16"],
     ["constant", "--reps", "64"],
+    ["gain-curve", "--n-max", "5", "--reps", "64"],
+    # two tasks, so that two workers run the n = 3 column
+    ["gain-surface", "--n-max", "4", "--reps", "2048", "--sigma-range", "0.5,1",
+     "--workers", "2"],
+    ["optimal-n", "--n-max", "5", "--reps", "64"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_runs_without_scipy(tmp_path, argv):
+    # SciPy cannot be imported at all: a None entry in sys.modules makes
+    # every import of it raise ImportError, in the forked workers too
     code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
             "from driftlab import cli\n"
             "code = cli.main(sys.argv[1:])\n"
             f"print(json.dumps([code, {SCIPY_MODULES}]))")
@@ -56,50 +67,58 @@ def test_subcommand_runs_without_scipy(tmp_path, argv):
 
 
 # A stand-in _gain_block, patched onto risk_engine under the same name so that
-# it still pickles, records in each worker whether what it is asked about
-# (a Python expression, evaluated before and during the pooled run) was
-# already true when that worker's first block started.
+# it still pickles, records in each worker the value of a probe (a Python
+# expression, also evaluated in the parent before and after the pooled run)
+# at the start of that worker's first block and after its latest block.
 POOLED_GAIN = """
 import json, os, sys
 from driftlab import risk_engine
 
 real_block = risk_engine._gain_block
-seen, loaded = sys.argv[1], sys.argv[2]
+seen, probe = sys.argv[1], sys.argv[2]
 
 
 def _gain_block(start, count, **kwargs):
     path = os.path.join(seen, str(os.getpid()))
-    if not os.path.exists(path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(eval(loaded)))
-    return real_block(start, count, **kwargs)
+    first = json.loads(open(path).read())[0] if os.path.exists(path) else eval(probe)
+    columns = real_block(start, count, **kwargs)
+    with open(path, "w") as fh:
+        fh.write(json.dumps([first, eval(probe)]))
+    return columns
 
 
 _gain_block.__module__ = risk_engine.__name__
 risk_engine._gain_block = _gain_block
-before = eval(loaded)
+before = eval(probe)
 risk_engine.gain_curve(1.0, 1.0, 1.0, 5, 8192, 3, workers=2)
-print(json.dumps([before, os.getpid()]))
+print(json.dumps([before, eval(probe), os.getpid()]))
 """
 
 
-def assert_workers_inherit(tmp_path, loaded):
-    # not loaded by importing driftlab; loaded by the parent before the pool
-    # forks, so that no worker loads its own
-    before, parent = run_python(POOLED_GAIN, str(tmp_path), loaded)
-    assert before is False
+def pooled_gain_probe(tmp_path, probe):
+    """The probe's value in the parent before and after a pooled gain_curve,
+    and per worker [at the start of its first block, after its latest]."""
+    before, after, parent = run_python(POOLED_GAIN, str(tmp_path), probe)
     workers = {int(path.name): json.loads(path.read_text()) for path in tmp_path.iterdir()}
     assert workers and parent not in workers  # every block ran in a worker
-    assert all(workers.values()), workers
+    return [before, after], workers
 
 
-def test_pool_workers_inherit_scipy_special(tmp_path):
-    assert_workers_inherit(tmp_path, "'scipy.special' in sys.modules")
+def test_pooled_gain_loads_no_scipy(tmp_path):
+    # the n = 3 column is computed in every worker, and no process loads SciPy
+    parent, workers = pooled_gain_probe(tmp_path, SCIPY_MODULES)
+    assert parent == [[], []]
+    assert all(value == [[], []] for value in workers.values()), workers
 
 
 def test_pool_workers_inherit_noise_tables(tmp_path):
-    # the 1024-row tasks of 5 normals a row take the array path
-    assert_workers_inherit(tmp_path, "risk_engine._array_tables.cache_info().currsize == 1")
+    # not built by importing driftlab; built by the parent before the pool
+    # forks, so that no worker builds its own. The 1024-row tasks of 5
+    # normals a row take the array path
+    parent, workers = pooled_gain_probe(
+        tmp_path, "risk_engine._array_tables.cache_info().currsize == 1")
+    assert parent[0] is False
+    assert all(first for first, _ in workers.values()), workers
 
 
 def test_no_module_imports_ctypes():

@@ -56,7 +56,7 @@ REPORTS = {
 }
 
 CURVE = [
-    (3, "0x1.a8abc02a627e6p-4", "0x1.3d56e7514d89bp-7"),
+    (3, "0x1.a8abc02a627e7p-4", "0x1.3d56e7514d89ap-7"),
     (4, "0x1.a5815544dd4e5p-4", "0x1.91756644531adp-9"),
     (5, "0x1.8f85c9d058383p-4", "0x1.1a506f0663d48p-9"),
     (6, "0x1.60150d793d126p-4", "0x1.9b04953434300p-10"),

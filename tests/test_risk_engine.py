@@ -615,12 +615,18 @@ class TestGain:
         with pytest.raises(ValueError, match="T must be positive"):
             gain_curve(1.0, 1.0, 0.0, 5, 100, 0)
 
-    def test_single_gain_equals_curve_column(self):
-        est = gain(1.0, 1.0, 1.0, 6, 4_000, 9, include_risk_difference=False)
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_single_gain_equals_curve_column(self, n):
+        # a lone column is summed in replicate order, as a column of the curve
+        est = gain(1.0, 1.0, 1.0, n, 4_000, 9, include_risk_difference=False)
         curve = gain_curve(1.0, 1.0, 1.0, 8, 4_000, 9)
-        row = next(r for r in curve.rows if r.n == 6)
+        row = next(r for r in curve.rows if r.n == n)
         assert est.formula.mean == row.gain_mean
         assert est.formula.stderr == row.gain_stderr
+
+    def test_short_curve_equals_long_curve_row(self):
+        assert gain_curve(1.0, 1.0, 1.0, 3, 4_000, 9).rows[0] == \
+            gain_curve(1.0, 1.0, 1.0, 8, 4_000, 9).rows[0]
 
 
 class TestGainCurve:
@@ -690,6 +696,77 @@ class TestConditionedGain:
         assert curve.n_opt == 4
         row = curve.rows[0]
         assert abs(row.gain_mean - oracles.FROZEN_GAIN_UNIT[3]) < 4 * row.gain_stderr
+
+
+class TestFaddeeva:
+    # the n = 3 column's w(z), against SciPy's and against closed forms
+    @staticmethod
+    def assert_close(got, ref):
+        assert np.all(np.abs(got.real - ref.real) <= 1e-12 * np.abs(ref.real))
+        assert np.all(np.abs(np.abs(got) - np.abs(ref)) <= 1e-12 * np.abs(ref))
+
+    def test_matches_scipy_across_the_regions(self):
+        from scipy.special import wofz
+
+        # crosses |z| = 8 and Im z = 0.05, from Im z = 1e-6 to |Re z| = 1e3
+        edges = [0.0, 0.04, 0.05, 0.06, 5.0, 7.9, 7.99, 8.0, 8.01, 8.1, 20.0]
+        xs = np.concatenate([np.logspace(-6, 3, 91), np.linspace(0.0, 10.0, 101), edges])
+        xs = np.concatenate([-xs, xs])
+        ys = np.concatenate([np.logspace(-6, 3, 91), np.linspace(0.0, 0.1, 41)[1:], edges[1:]])
+        z = (xs[:, None] + 1j * ys[None, :]).ravel()
+        self.assert_close(risk_engine._faddeeva(z), wofz(z))
+
+    def test_imaginary_axis_is_scaled_erfc(self):
+        # w(i y) = exp(y^2) erfc(y), SciPy-free
+        ys = np.concatenate([np.logspace(-6, math.log10(20.0), 200), [0.05, 8.0, 20.0]])
+        ref = np.array([math.exp(y * y) * math.erfc(y) for y in ys])
+        got = risk_engine._faddeeva(1j * ys)
+        assert np.all(np.abs(got.real - ref) <= 1e-12 * ref)
+        assert np.all(np.abs(got.imag) <= 1e-12 * ref)
+
+    def test_real_part_on_the_far_axis(self):
+        # just above the axis past |z| = 8, Re w(x + i y) -> exp(-x^2): the
+        # continued fraction alone gives y/(sqrt(pi) x^2) there
+        from scipy.special import wofz
+
+        z = np.array([8.0 + 1e-30j, -8.5 + 1e-28j, 9.0 + 1e-40j, 20.0 + 1e-30j])
+        self.assert_close(risk_engine._faddeeva(z), wofz(z))
+
+    def test_nan_where_not_finite(self):
+        z = np.array([complex(math.nan, 1.0), complex(math.nan, math.inf), 1.0 + 1.0j])
+        got = risk_engine._faddeeva(z)
+        assert np.isnan(got[:2]).all() and np.isfinite(got[2])
+
+    def test_each_value_depends_on_its_own_z_alone(self):
+        # values in every region: NumPy's loops must not round a one-element
+        # array otherwise than a long one
+        rng = np.random.default_rng(0)
+        z = rng.uniform(-12.0, 12.0, 64) + 1j * 10.0 ** rng.uniform(-4.0, 1.0, 64)
+        whole = risk_engine._faddeeva(z)
+        alone = np.concatenate([risk_engine._faddeeva(z[i:i + 1]) for i in range(len(z))])
+        assert whole.tobytes() == alone.tobytes()
+
+    def test_matches_scipy_on_drawn_replicates(self, monkeypatch):
+        # the (delta, w, r) that the gain blocks pass in across gain-surface's
+        # sigma range, and the large-sigma limit's rho = 0
+        from scipy.special import wofz
+
+        calls = []
+        real = risk_engine._conditional_inverse_moment
+
+        def recording(delta, w, r):
+            calls.append((delta, w, r))
+            return real(delta, w, r)
+
+        monkeypatch.setattr(risk_engine, "_conditional_inverse_moment", recording)
+        gain_curves(1.0, [(sigma, 1.0) for sigma in (0.25, 0.5, 1.0, 2.0, 4.0)], 3, 8192, 5)
+        gain_large_sigma_limit(3, 8192, 5)
+        assert len(calls) == 6 * 2
+        for delta, w, r in calls:
+            ref = (math.sqrt(math.pi / 2) / (w * r)
+                   * wofz((delta + 1j * r) / (w * math.sqrt(2.0))).real)
+            got = real(delta, w, r)
+            assert np.all(np.abs(got - ref) <= 1e-12 * ref)
 
 
 class TestLargeSigmaLimit:
