@@ -2,7 +2,9 @@
 
 Replicates are partitioned into fixed-size blocks; block results are
 reduced in replicate-index order, so every report is bit-reproducible
-from (seed, reps, grid, n_basis) regardless of the worker count.
+from (seed, reps, grid, n_basis) regardless of the worker count, and of
+whether a process pool ran the blocks: `_run_blocks` starts one only for a
+run of at least two tasks that draws at least `_POOL_NORMALS` normals.
 
 No SciPy module is loaded here: the Faddeeva function of the n = 3 gain
 column is `_faddeeva`, NumPy code, so importing driftlab and every gain call
@@ -44,9 +46,14 @@ from .process_sim import (
 
 # block size fixed: the replicate partition must not depend on workers
 _BLOCK = 4096
-# a pool's unit of work: a multiple of _SUB_CHUNK that divides _BLOCK, so a
-# task's sub-chunks start where the whole block's do
+# a pool's unit of work is _TASK or 2 _TASK replicates, whichever first draws
+# _TASK_NORMALS normals, or else a whole _BLOCK: each a multiple of _SUB_CHUNK
+# that divides _BLOCK, so a task's sub-chunks start where the whole block's do
 _TASK = 1024
+_TASK_NORMALS = 2**20
+# a run that draws fewer normals than this runs in-process: a fork, and the
+# tasks' traffic, cost more than a second worker saves
+_POOL_NORMALS = 2 * _TASK_NORMALS
 
 _PATHWISE_BOUND = 1e-10  # the pathwise rows are exact up to rounding
 
@@ -180,37 +187,46 @@ def _block_moments(columns):
             for col in columns]
 
 
-def _joined(done, count):
+def _joined(done, count, task):
     """The columns of the next block of count replicates, joined in replicate
-    order from the results of its tasks."""
-    tasks = [next(done) for _ in range(0, count, _TASK)]
-    return [np.concatenate(col) for col in zip(*tasks)]
+    order from the results of its tasks of task replicates."""
+    parts = [next(done) for _ in range(0, count, task)]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
-def _run_blocks(worker, reps, workers):
+def _task_size(width):
+    """Replicates per pool task for a worker that draws width normals a
+    replicate."""
+    return next((t for t in (_TASK, 2 * _TASK) if t * width >= _TASK_NORMALS), _BLOCK)
+
+
+def _run_blocks(worker, reps, workers, width):
     """Run worker(start, count) over the fixed blocks and return one _Moments
-    per per-replicate column it returns.
+    per per-replicate column it returns; width is the number of normals the
+    worker draws a replicate.
 
-    Serially, each block is one worker call. A pool runs tasks of _TASK
-    replicates instead and ships their per-replicate columns (at most _TASK
-    rows each) to the parent, which joins each block's columns in replicate
-    order. Either way every whole block is reduced along its replicate axis
-    by the same code, and the block partials are added in block order, so the
-    result does not depend on the worker count. The pool starts at most one
-    process per task and per CPU."""
+    A pool starts only when at least two processes would run (capped at the
+    task count and at os.cpu_count()) and the run draws at least
+    _POOL_NORMALS normals. It runs tasks of _task_size(width) replicates and
+    ships their per-replicate columns to the parent, which joins each block's
+    columns in replicate order. Otherwise each block is one worker call in
+    this process. Either way every whole block is reduced along its replicate
+    axis by the same code, and the block partials are added in block order,
+    so the result does not depend on the worker count."""
     if reps < 2:
         raise ValueError("need reps >= 2")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     bounds = [(s, min(_BLOCK, reps - s)) for s in range(0, reps, _BLOCK)]
-    if workers > 1:
-        tasks = [(s + o, min(_TASK, c - o)) for s, c in bounds for o in range(0, c, _TASK)]
-        pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    task = _task_size(width)
+    tasks = [(s + o, min(task, c - o)) for s, c in bounds for o in range(0, c, task)]
+    pool_size = min(workers, len(tasks), os.cpu_count() or 1)
+    if pool_size > 1 and reps * width >= _POOL_NORMALS:
         # built here, the noise tables are inherited by the forked workers
         _array_tables()
         with ProcessPoolExecutor(max_workers=pool_size) as ex:
             done = ex.map(worker, *zip(*tasks), chunksize=1)
-            parts = [_block_moments(_joined(done, c)) for _, c in bounds]
+            parts = [_block_moments(_joined(done, c, task)) for _, c in bounds]
     else:
         parts = [_block_moments(worker(s, c)) for s, c in bounds]
     moments = []
@@ -546,18 +562,18 @@ def mc_risk(estimator, u, params, reps, seed, *, grid_m=2048, n_basis=1024,
     """
     if estimator == "efficient":
         worker = partial(_efficient_block, seed=seed, params=params, n_basis=n_basis)
-        label = "efficient-risk"
+        label, width = "efficient-risk", n_basis
     elif isinstance(estimator, CylindricalFunctional):
         worker = _stein_worker(estimator, u, params, seed, n_basis, None)
-        label = "stein-risk"
+        label, width = "stein-risk", estimator.n
     elif isinstance(estimator, BayesSpec):
         check_breakpoints(params.T, estimator.tau)
         worker = partial(_bayes_block, seed=seed, grid_m=grid_m, spec=estimator,
                          params=params, u=None if prior_drift else u)
-        label = "bayes-risk"
+        label, width = "bayes-risk", 2 * grid_m if prior_drift else grid_m
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    return _report(_run_blocks(worker, reps, workers)[0], seed, label)
+    return _report(_run_blocks(worker, reps, workers, width)[0], seed, label)
 
 
 def sample_average_risk(group_size, params, reps, seed, *, n_basis=1024,
@@ -567,7 +583,7 @@ def sample_average_risk(group_size, params, reps, seed, *, n_basis=1024,
         raise ValueError("need group_size >= 1")
     worker = partial(_efficient_block, seed=seed, params=params, n_basis=n_basis,
                      group=group_size)
-    return _report(_run_blocks(worker, reps, workers)[0], seed,
+    return _report(_run_blocks(worker, reps, workers, n_basis * group_size)[0], seed,
                    f"average-of-{group_size}-risk")
 
 
@@ -616,7 +632,7 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
         # for n <= grid_m
         raise ValueError(f"the James-Stein norm at n={fnl.n} needs grid_m >= n, "
                          f"got grid_m={grid_m}")
-    risk, d, grad, chain, forms, corr = _run_blocks(worker, reps, workers)
+    risk, d, grad, chain, forms, corr = _run_blocks(worker, reps, workers, fnl.n)
 
     names = ["unbiased-risk", "sqrt-laplacian-risk", "log-gradient-risk"]
     if fnl.is_james_stein:
@@ -654,7 +670,7 @@ def _gain_moments(alpha, models, n_max, reps, seed, workers, last=False):
         params = ModelParams(sigma=sigma, T=T, alpha=alpha)
         rho.append(params.alpha * math.sqrt(2.0 * params.T) / params.sigma)
     worker = partial(_gain_block, seed=seed, n_max=n_max, rho=tuple(rho), last=last)
-    return _run_blocks(worker, reps, workers)
+    return _run_blocks(worker, reps, workers, n_max)
 
 
 def _gain_report(alpha, sigma, T, n, reps, seed, workers, label):
@@ -737,7 +753,7 @@ def universal_constant(reps, seed, *, workers=1) -> RiskReport:
     Equals the large-volatility gain limit at n = 4; the Gaussian
     expectation runs over standard-normal 4-vectors.
     """
-    m = _run_blocks(partial(_const_block, seed=seed), reps, workers)[0]
+    m = _run_blocks(partial(_const_block, seed=seed), reps, workers, 4)[0]
     return _report(m, seed, "universal-constant")
 
 

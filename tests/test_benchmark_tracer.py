@@ -6,6 +6,8 @@ from pathlib import Path
 
 from driftlab import DriftSpec, ModelParams, process_sim, risk_engine
 
+from pooling import forced_pool
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -41,10 +43,14 @@ def test_pooled_workers_count_their_streams(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()
     try:
-        risk_engine.mc_risk("efficient", DriftSpec.linear(1.0), ModelParams(), 2048, 3,
-                            n_basis=16, workers=2)
-        # two tasks of 1024 replicates, each drawn in 16 sub-chunks of 64 rows
-        assert tracer.counts["noise_streams"] == 32
-        assert tracer.counts["normals"] == 2048 * 16
+        # the traced pool in place, and no pool threshold
+        with forced_pool():
+            risk_engine.mc_risk("efficient", DriftSpec.linear(1.0), ModelParams(), 6144, 3,
+                                n_basis=16, workers=2)
+        # one pool, two whole-block tasks of 4096 and 2048 replicates, drawn
+        # in 64 and 32 sub-chunks of 64 rows
+        assert tracer.calls["risk_engine.pool"] == 1
+        assert tracer.counts["noise_streams"] == 96
+        assert tracer.counts["normals"] == 6144 * 16
     finally:
         tracer.uninstall()

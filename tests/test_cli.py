@@ -14,6 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftlab import ModelParams, cli, sample_average_risk
+from driftlab.risk_engine import _BLOCK
+
+from pooling import forced_pool
 
 
 def run(argv):
@@ -74,8 +77,8 @@ class TestGainCurve:
         for r in rows:
             assert float(r[3]) == pytest.approx(100.0 * float(r[1]), rel=1e-12)
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path):
-        args = ["gain-curve", "--n-max", "5", "--reps", "3000", "--seed", "4"]
+    def test_byte_identical_across_runs_and_workers(self, tmp_path, pooled):
+        args = ["gain-curve", "--n-max", "5", "--reps", "5000", "--seed", "4"]
         outs = [tmp_path / f"c{i}.csv" for i in range(3)]
         run(args + ["--out", str(outs[0])])
         run(args + ["--out", str(outs[1])])
@@ -256,9 +259,10 @@ def test_output_bytes_pinned(tmp_path, name):
     assert hashlib.sha256(plot.encode("ascii")).hexdigest() == plot_digest
 
 
-# one block split into tasks, an odd replicate count, a repeated swept value
+# one block split into tasks, an odd replicate count, a repeated swept value;
+# pooled whatever their size (the pooled fixture)
 WORKER_ARGV = {
-    "bayes": ["bayes", "--tau", "1", "--reps", "4096", "--grid", "128", "--seed", "21"],
+    "bayes": ["bayes", "--tau", "1", "--reps", "4096", "--grid", "512", "--seed", "21"],
     "constant": ["constant", "--reps", "5001", "--seed", "22"],
     "gain-surface": ["gain-surface", "--n-max", "5", "--reps", "5000", "--seed", "23",
                      "--T-range", "2,2,1"],
@@ -266,16 +270,17 @@ WORKER_ARGV = {
 
 
 @pytest.mark.parametrize("name", sorted(WORKER_ARGV))
-def test_output_bytes_do_not_depend_on_workers(tmp_path, name):
+def test_output_bytes_do_not_depend_on_workers(tmp_path, pooled, name):
     csvs = []
     for workers in ("1", "2", "3"):
         out = tmp_path / f"workers-{workers}.csv"
         assert run(WORKER_ARGV[name] + ["--workers", workers, "--out", str(out)]) == 0
         csvs.append(out.read_bytes())
     assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+    assert len(pooled) == 2  # --workers 2 and 3
 
 
-def test_sample_average_risk_does_not_depend_on_workers():
+def test_sample_average_risk_does_not_depend_on_workers(pooled):
     # 4396 groups of 16: a whole block and a partial one
     params = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
     reports = [sample_average_risk(16, params, 4396, 24, n_basis=32, workers=workers)
@@ -494,12 +499,14 @@ class TestExitCodes:
 
 
 # (moderate, extreme) values of each flag: sizes at most 16, --reps at most
-# 64, --workers 1 or 2 (each pooled run forks); an extreme value is tiny,
-# huge, zero or negative, and a seed at either end of its range or past it
+# 64 or just past one block (so that --workers 2 has two tasks to pool),
+# --workers 1 or 2; an extreme value is tiny, huge, zero or negative, and a
+# seed at either end of its range or past it
 _MAGNITUDES = [1e-300, 1e-8, 1e8, 1e300]
 _FLOATS = (st.sampled_from([0.25, 1.0, 2.5]),
            st.sampled_from([0.0, -1.0] + _MAGNITUDES + [-m for m in _MAGNITUDES]))
-_VALUES = {"reps": (st.integers(2, 64), st.integers(-2, 1)),
+_VALUES = {"reps": (st.integers(2, 64) | st.integers(_BLOCK + 1, _BLOCK + 64),
+                    st.integers(-2, 1)),
            "workers": (st.integers(1, 2),) * 2,
            "seed": (st.integers(0, 99), st.sampled_from([-1, 2**64 - 1, 2**64]))}
 _SIZES = (st.integers(3, 16), st.integers(-2, 2))
@@ -536,15 +543,19 @@ def _number(field):
 @given(data=st.data())
 def test_fuzzed_argv_exits_cleanly(name, data):
     # main returns a documented code for any argv; a failed run writes
-    # nothing, and a successful one writes only finite numbers
+    # nothing, and a successful one writes only finite numbers. Every run of
+    # two tasks at --workers 2 forks a pool, whatever its size
     argv = data.draw(argvs(name))
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "x.csv")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), forced_pool() as started:
             # NumPy warns on the way to an overflow; the outcome is under test
             warnings.simplefilter("ignore", RuntimeWarning)
             code = run(argv + ["--out", out])
         assert code in (0, 1, 2, 3, 4)
+        flags = dict(arg[2:].split("=", 1) for arg in argv[1:])
+        if code in (0, 4) and int(flags.get("reps", 0)) > _BLOCK:
+            assert started == [2] * (flags["workers"] == "2")
         written = [os.path.exists(path) for path in (out, out + ".plot.txt")]
         if code in (1, 2, 3):
             assert not any(written)

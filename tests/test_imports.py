@@ -3,8 +3,10 @@ tables. Each SciPy function is loaded at its first use, and the bayes,
 constant and gain subcommands, and a pooled gain curve in its parent and in
 every worker, load none: the n = 3 gain column's Faddeeva function is NumPy
 code. The block runner builds the noise tables in the calling process before
-a pool forks, so the workers inherit them. No module imports ctypes: the
-noise layer re-keys Philox through its public state setter. README's
+a pool forks, so the workers inherit them. The pooled runs here are far
+below the block runner's pool threshold, so each child runs them under
+pooling.forced_pool and checks that a pool started. No module imports ctypes:
+the noise layer re-keys Philox through its public state setter. README's
 library example imports only names the package has."""
 
 import ast
@@ -20,14 +22,16 @@ import pytest
 import driftlab
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(driftlab.__file__)))
+TESTS = os.path.dirname(os.path.abspath(__file__))
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_python(code, *args):
-    """Run code in a fresh interpreter that imports the driftlab under test;
-    return the JSON value of its last stdout line."""
+    """Run code in a fresh interpreter that imports the driftlab under test
+    (and this directory's helpers); return the JSON value of its last stdout
+    line."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, TESTS, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -49,7 +53,7 @@ def test_import_loads_no_scipy():
     ["constant", "--reps", "64"],
     ["gain-curve", "--n-max", "5", "--reps", "64"],
     # two tasks, so that two workers run the n = 3 column
-    ["gain-surface", "--n-max", "4", "--reps", "2048", "--sigma-range", "0.5,1",
+    ["gain-surface", "--n-max", "4", "--reps", "8192", "--sigma-range", "0.5,1",
      "--workers", "2"],
     ["optimal-n", "--n-max", "5", "--reps", "64"],
 ], ids=lambda argv: argv[0])
@@ -59,10 +63,12 @@ def test_subcommand_runs_without_scipy(tmp_path, argv):
     code = ("import json, sys\n"
             "sys.modules['scipy'] = None\n"
             "from driftlab import cli\n"
-            "code = cli.main(sys.argv[1:])\n"
-            f"print(json.dumps([code, {SCIPY_MODULES}]))")
+            "from pooling import forced_pool\n"
+            "with forced_pool() as pools:\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            f"print(json.dumps([code, {SCIPY_MODULES}, pools]))")
     out = tmp_path / "out.csv"
-    assert run_python(code, *argv, "--out", str(out)) == [0, []]
+    assert run_python(code, *argv, "--out", str(out)) == [0, [], [2] * ("--workers" in argv)]
     assert out.exists()
 
 
@@ -73,6 +79,7 @@ def test_subcommand_runs_without_scipy(tmp_path, argv):
 POOLED_GAIN = """
 import json, os, sys
 from driftlab import risk_engine
+from pooling import forced_pool
 
 real_block = risk_engine._gain_block
 seen, probe = sys.argv[1], sys.argv[2]
@@ -90,7 +97,9 @@ def _gain_block(start, count, **kwargs):
 _gain_block.__module__ = risk_engine.__name__
 risk_engine._gain_block = _gain_block
 before = eval(probe)
-risk_engine.gain_curve(1.0, 1.0, 1.0, 5, 8192, 3, workers=2)
+with forced_pool() as pools:
+    risk_engine.gain_curve(1.0, 1.0, 1.0, 5, 8192, 3, workers=2)
+assert pools == [2]
 print(json.dumps([before, eval(probe), os.getpid()]))
 """
 
@@ -113,7 +122,7 @@ def test_pooled_gain_loads_no_scipy(tmp_path):
 
 def test_pool_workers_inherit_noise_tables(tmp_path):
     # not built by importing driftlab; built by the parent before the pool
-    # forks, so that no worker builds its own. The 1024-row tasks of 5
+    # forks, so that no worker builds its own. The whole-block tasks of 5
     # normals a row take the array path
     parent, workers = pooled_gain_probe(
         tmp_path, "risk_engine._array_tables.cache_info().currsize == 1")

@@ -34,6 +34,7 @@ from driftlab import (
 )
 
 import oracles
+from pooling import forced_pool
 
 
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
@@ -157,12 +158,16 @@ class TestProfileIntegrals:
                 BayesSpec(tau=bad, v=DriftSpec.zero())),
             "mc_risk-workers-1": lambda: mc_risk(
                 BayesSpec(tau=bad, v=DriftSpec.zero()), None, params, 2, 0, grid_m=8),
+            # two blocks, with no pool threshold: without the check first, a
+            # pool would start and its workers would draw
             "mc_risk-workers-2": lambda: mc_risk(
-                BayesSpec(tau=bad, v=DriftSpec.zero()), None, params, 2, 0, grid_m=8,
-                workers=2),
+                BayesSpec(tau=bad, v=DriftSpec.zero()), None, params, 2 * risk_engine._BLOCK, 0,
+                grid_m=8, workers=2),
         }
-        with pytest.raises(ValueError, match=r"strictly inside \(0, T\)"):
-            calls[entry]()
+        with forced_pool() as started:
+            with pytest.raises(ValueError, match=r"strictly inside \(0, T\)"):
+                calls[entry]()
+        assert started == []
 
 
 class TestBasis:

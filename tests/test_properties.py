@@ -13,6 +13,7 @@ from driftlab import (BayesSpec, CylindricalFunctional, DriftSpec, ModelParams, 
 from driftlab import process_sim
 from driftlab.process_sim import _noise_block
 from driftlab.risk_engine import _BLOCK
+from pooling import forced_pool
 
 U64 = 2**64
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
@@ -155,26 +156,28 @@ def test_noise_block_past_the_last_key_rejected(seed, count, over, back):
         _noise_block(seed, start, count, 3)
 
 
-# each example starts two process pools, so keep the count small
+# each example starts four process pools, so keep the count small
 @settings(derandomize=True, max_examples=4, deadline=None)
 @given(st.integers(0, U64 - 1), st.integers(_BLOCK + 1, 3 * _BLOCK), st.integers(1, 48))
 def test_results_do_not_depend_on_workers(seed, reps, n_basis):
-    # two or three blocks, so the pool has blocks to share out
+    # two or three blocks, so the pool has tasks to share out; the runs are
+    # far below the pool threshold, which forced_pool lifts
     n_max = 3 + n_basis % 8
-    assert (gain_curve(1.0, 1.0, 1.0, n_max, reps, seed, workers=1)
-            == gain_curve(1.0, 1.0, 1.0, n_max, reps, seed, workers=2))
-    assert (mc_risk("efficient", DriftSpec.linear(1.0), PARAMS, reps, seed,
-                    n_basis=n_basis, workers=1)
-            == mc_risk("efficient", DriftSpec.linear(1.0), PARAMS, reps, seed,
-                       n_basis=n_basis, workers=2))
-    bayes = BayesSpec.centered(1.0)
-    assert (mc_risk(bayes, None, PARAMS, reps, seed, grid_m=64, workers=1)
-            == mc_risk(bayes, None, PARAMS, reps, seed, grid_m=64, workers=2))
     fnl = CylindricalFunctional(n=n_max, a=float(2 - n_max))
-    assert (identity_suite(fnl, DriftSpec.linear(1.0), PARAMS, reps, seed, grid_m=64,
-                           n_basis=n_basis + n_max, workers=1)
-            == identity_suite(fnl, DriftSpec.linear(1.0), PARAMS, reps, seed, grid_m=64,
-                              n_basis=n_basis + n_max, workers=2))
+    bayes = BayesSpec.centered(1.0)
+    runs = [
+        lambda workers: gain_curve(1.0, 1.0, 1.0, n_max, reps, seed, workers=workers),
+        lambda workers: mc_risk("efficient", DriftSpec.linear(1.0), PARAMS, reps, seed,
+                                n_basis=n_basis, workers=workers),
+        lambda workers: mc_risk(bayes, None, PARAMS, reps, seed, grid_m=64, workers=workers),
+        lambda workers: identity_suite(fnl, DriftSpec.linear(1.0), PARAMS, reps, seed,
+                                       grid_m=64, n_basis=n_basis + n_max, workers=workers),
+    ]
+    for run in runs:
+        serial = run(1)
+        with forced_pool() as started:
+            assert run(2) == serial
+        assert started == [2]
 
 
 @st.composite

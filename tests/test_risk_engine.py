@@ -41,6 +41,7 @@ from driftlab import (
 )
 
 import oracles
+from pooling import counted_pools
 
 
 PARAMS = ModelParams(sigma=1.0, T=1.0, alpha=1.0)
@@ -141,7 +142,7 @@ class TestMcRisk:
         with pytest.raises(ValueError):
             mc_risk("median", U, PARAMS, 100, 0)
 
-    def test_deterministic_and_worker_invariant(self):
+    def test_deterministic_and_worker_invariant(self, pooled):
         a = mc_risk("efficient", U, PARAMS, 9_000, 7, grid_m=256, n_basis=64)
         b = mc_risk("efficient", U, PARAMS, 9_000, 7, grid_m=256, n_basis=64)
         c = mc_risk("efficient", U, PARAMS, 9_000, 7, grid_m=256, n_basis=64, workers=2)
@@ -332,18 +333,63 @@ class TestDrawBuffer:
         assert peak < 104 * 2**20
 
 
+# the task sizes below a whole block
+TASK_SIZES = (risk_engine._TASK, 2 * risk_engine._TASK)
+
+
 def stein_worker(fnl, lambda_scale=1.0, n_basis=16, grid_m=32):
     return risk_engine._stein_worker(fnl, U, PARAMS, 5, n_basis, grid_m, lambda_scale)
 
 
 class TestTaskSplit:
-    """A pool runs each block as tasks of _TASK replicates and joins their
-    columns in the parent, so every block worker must give the same rows,
-    byte for byte, however its replicates are split."""
+    """A pool runs each block as tasks of _TASK, 2 _TASK or _BLOCK replicates,
+    whichever first draws _TASK_NORMALS normals (width normals a replicate),
+    and joins their columns in the parent, so every block worker must give
+    the same rows, byte for byte, however its replicates are split."""
 
     def test_tasks_keep_the_sub_chunk_boundaries(self):
-        assert risk_engine._BLOCK % risk_engine._TASK == 0
-        assert risk_engine._TASK % risk_engine._SUB_CHUNK == 0
+        for task in TASK_SIZES:
+            assert risk_engine._BLOCK % task == 0
+            assert task % risk_engine._SUB_CHUNK == 0
+
+    @pytest.mark.parametrize("width, task", [
+        (1, risk_engine._BLOCK), (4, risk_engine._BLOCK), (511, risk_engine._BLOCK),
+        (512, 2 * risk_engine._TASK), (1023, 2 * risk_engine._TASK),
+        (1024, risk_engine._TASK), (4096, risk_engine._TASK),
+    ])
+    def test_task_size(self, width, task):
+        assert risk_engine._task_size(width) == task
+
+    @pytest.mark.parametrize("call", [
+        lambda: mc_risk("efficient", U, PARAMS, 300, 0, n_basis=16),
+        lambda: sample_average_risk(3, PARAMS, 300, 0, n_basis=16),
+        lambda: mc_risk(JS4, U, PARAMS, 300, 0, n_basis=16),
+        lambda: mc_risk(BayesSpec.centered(1.0), None, PARAMS, 300, 0, grid_m=16),
+        lambda: mc_risk(BayesSpec.centered(1.0), U, PARAMS, 300, 0, grid_m=16,
+                        prior_drift=False),
+        lambda: identity_suite(JS4, U, PARAMS, 300, 0, grid_m=16, n_basis=16),
+        lambda: gain_curves(1.0, [(1.0, 1.0), (2.0, 1.0)], 7, 300, 0),
+        lambda: gain(1.0, 1.0, 1.0, 5, 300, 0, include_risk_difference=False),
+        lambda: universal_constant(300, 0),
+    ], ids=["efficient", "sample-average", "stein", "bayes-prior-drift", "bayes-fixed-drift",
+            "identity-suite", "gain-curves", "gain", "constant"])
+    def test_width_is_the_normals_a_replicate_draws(self, monkeypatch, call):
+        drawn, runs = [], []
+        real_draw, real_run = risk_engine._noise_block, risk_engine._run_blocks
+
+        def draw(seed, start, count, dim):
+            drawn.append(count * dim)
+            return real_draw(seed, start, count, dim)
+
+        def run(worker, reps, workers, width):
+            runs.append((reps, width))
+            return real_run(worker, reps, workers, width)
+
+        monkeypatch.setattr(risk_engine, "_noise_block", draw)
+        monkeypatch.setattr(risk_engine, "_run_blocks", run)
+        call()
+        (reps, width), = runs
+        assert sum(drawn) == reps * width
 
     @pytest.mark.parametrize("worker", [
         partial(risk_engine._efficient_block, seed=5, params=PARAMS, n_basis=8),
@@ -360,16 +406,17 @@ class TestTaskSplit:
     ], ids=["efficient", "efficient-group-16", "stein-james-stein", "stein-general",
             "stein-corrupted", "bayes-prior-drift", "bayes-fixed-drift", "gain", "const"])
     def test_rows_do_not_depend_on_the_split(self, worker):
-        start, count = 4096, 4096 + 300  # four whole tasks and a partial one
+        start, count = 4096, 4096 + 300  # whole tasks and a partial one
         whole = worker(start, count)
-        tasks = [worker(start + off, min(risk_engine._TASK, count - off))
-                 for off in range(0, count, risk_engine._TASK)]
-        assert len(tasks) == 5 and len(tasks[-1][0]) == 300
-        assert len(whole) == len(tasks[0])
-        for column, parts in zip(whole, zip(*tasks)):
-            joined = np.concatenate(parts)
-            assert column.shape == joined.shape
-            assert column.tobytes() == joined.tobytes()
+        for task in TASK_SIZES + (risk_engine._BLOCK,):
+            tasks = [worker(start + off, min(task, count - off))
+                     for off in range(0, count, task)]
+            assert len(tasks) == 4096 // task + 1 and len(tasks[-1][0]) == 300
+            assert len(whole) == len(tasks[0])
+            for column, parts in zip(whole, zip(*tasks)):
+                joined = np.concatenate(parts)
+                assert column.shape == joined.shape
+                assert column.tobytes() == joined.tobytes()
 
 
 @pytest.fixture
@@ -398,28 +445,59 @@ def pools(monkeypatch):
     return made
 
 
+@pytest.fixture
+def any_size(monkeypatch):
+    """No pool threshold: only the task and CPU caps decide whether a pool starts."""
+    monkeypatch.setattr(risk_engine, "_POOL_NORMALS", 0)
+
+
 class TestPool:
+    """A pool starts only where at least two processes would run, capped at
+    the task count and at the CPU count, and the run draws at least
+    _POOL_NORMALS normals; anything else runs in-process."""
+
     @pytest.mark.parametrize("reps, workers, tasks", [
-        (1000, 8, [(0, 1000)]),
+        (1000, 8, []),  # one task: no pool
         (4096, 8, [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024)]),
         (4396, 3, [(0, 1024), (1024, 1024), (2048, 1024), (3072, 1024), (4096, 300)]),
     ])
-    def test_pool_capped_at_the_task_count(self, pools, monkeypatch, reps, workers, tasks):
+    def test_pool_capped_at_the_task_count(self, pools, any_size, monkeypatch, reps,
+                                           workers, tasks):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the CPU cap is tested below
-        rep = universal_constant(reps, 7, workers=workers)
-        assert [(pool.max_workers, pool.tasks) for pool in pools] == [
-            (min(workers, len(tasks)), tasks)]
-        assert rep == universal_constant(reps, 7)
-        assert len(pools) == 1  # the serial run made none
+        # 1024 normals a replicate: tasks of _TASK replicates
+        rep = mc_risk("efficient", U, PARAMS, reps, 7, n_basis=1024, workers=workers)
+        assert [(pool.max_workers, pool.tasks) for pool in pools] == (
+            [(min(workers, len(tasks)), tasks)] if tasks else [])
+        assert rep == mc_risk("efficient", U, PARAMS, reps, 7, n_basis=1024)
+        assert len(pools) == bool(tasks)  # the serial run made none
 
     @pytest.mark.parametrize("cpus, size", [(3, 3), (1, 1), (None, 1)])
-    def test_pool_capped_at_the_cpu_count(self, pools, monkeypatch, cpus, size):
-        # 20 tasks and 5000 workers asked for; the stand-in pool starts no
-        # process, so the cap is checked without starting any
+    def test_pool_capped_at_the_cpu_count(self, pools, any_size, monkeypatch, cpus, size):
+        # five whole-block tasks and 5000 workers asked for; a one-process
+        # run starts no pool, and the stand-in pool starts no process, so the
+        # cap is checked without starting any
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         rep = universal_constant(20480, 7, workers=5000)
-        assert [(pool.max_workers, len(pool.tasks)) for pool in pools] == [(size, 20)]
+        assert [(pool.max_workers, len(pool.tasks)) for pool in pools] == (
+            [(size, 5)] if size > 1 else [])
         assert rep == universal_constant(20480, 7)
+
+    @pytest.mark.parametrize("run, task", [
+        # 4 normals a replicate: whole-block tasks
+        (lambda: universal_constant(3 * risk_engine._BLOCK, 7, workers=2), risk_engine._BLOCK),
+        # a 3-block Bayes run at the default grid, 2 x 2048 normals a replicate
+        (lambda: mc_risk(BayesSpec.centered(1.0), None, PARAMS, 3 * risk_engine._BLOCK, 7,
+                         workers=2), risk_engine._TASK),
+    ], ids=["constant", "bayes"])
+    def test_tasks_sized_by_the_normals_they_draw(self, pools, any_size, monkeypatch, run, task):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        # the blocks return zeros: only the split is under test here
+        for name in ("_const_block", "_bayes_block"):
+            monkeypatch.setattr(risk_engine, name, lambda start, count, **_: (np.zeros(count),))
+        run()
+        (pool,) = pools
+        assert pool.tasks == [(s, task) for s in range(0, 3 * risk_engine._BLOCK, task)]
+        assert pool.max_workers == 2
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--grid", "64", "--n-basis", "32"],
@@ -431,10 +509,29 @@ class TestPool:
         ["identity-suite", "--reps", "5000", "--grid", "32", "--n-basis", "16"],
         ["optimal-n", "--n-max", "5", "--reps", "5000"],
     ], ids=lambda argv: argv[0])
-    def test_each_subcommand_opens_at_most_one_pool(self, pools, tmp_path, argv):
+    def test_each_subcommand_opens_at_most_one_pool(self, pools, monkeypatch, tmp_path, argv):
+        # two tasks each; below the threshold at these sizes, no subcommand
+        # opens a pool, and with the threshold lowered each replicate
+        # subcommand opens exactly one and writes the same bytes
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         out = tmp_path / "out.csv"
         assert cli.main(argv + ["--workers", "3", "--out", str(out)]) == 0
+        assert pools == []
+        serial = out.read_bytes()
+        monkeypatch.setattr(risk_engine, "_POOL_NORMALS", 0)
+        assert cli.main(argv + ["--workers", "3", "--out", str(out)]) == 0
         assert len(pools) == (argv[0] not in ("simulate", "filter"))
+        assert out.read_bytes() == serial
+
+    def test_a_run_at_the_threshold_pools(self):
+        # unpatched: 4096 Bayes replicates of 2 x 256 normals draw 2**21
+        # normals, the threshold itself, in two tasks of 2 _TASK replicates
+        bayes = BayesSpec.centered(1.0)
+        with counted_pools() as started:
+            pooled = mc_risk(bayes, None, PARAMS, 4096, 5, grid_m=256, workers=2)
+        assert started == ([2] if (os.cpu_count() or 1) > 1 else [])
+        serial = mc_risk(bayes, None, PARAMS, 4096, 5, grid_m=256)
+        assert (pooled.mean.hex(), pooled.stderr.hex()) == (serial.mean.hex(), serial.stderr.hex())
 
 
 class TestDegenerateDenominators:
@@ -550,7 +647,7 @@ class TestIdentitySuite:
         assert not row.passed
         assert row.lhs == pytest.approx(peak, rel=1e-2)
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, pooled):
         one = identity_suite(JS4, U, PARAMS, 9_000, 2, grid_m=256, n_basis=64)
         two = identity_suite(JS4, U, PARAMS, 9_000, 2, grid_m=256, n_basis=64, workers=2)
         for r1, r2 in zip(one.rows, two.rows):
