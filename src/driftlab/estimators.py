@@ -123,7 +123,7 @@ def stein_terms(eta, lam, b, a, start):
     return c, dn, (a / dn)[:, None] * c
 
 
-def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params):
+def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params, out=None):
     """Shrinkage curve int_0^t sigma^2/(tau^2+sigma^2) dv + int_0^t tau^2/(tau^2+sigma^2) dX.
 
     Both integrals are left-point Riemann-Stieltjes sums over grid
@@ -131,6 +131,10 @@ def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params)
     telescope segment by segment.  Shared by the Bayes estimator and the
     scalar path filter, which are required to coincide bitwise.  Raises
     ValueError when a profile breakpoint is not strictly inside (0, T).
+
+    With out, an array of x_values' shape that does not overlap it, the
+    curve is formed in it (the dX sums, then the dv sums added in place) and
+    it is returned; the bits are those of the allocating call.
     """
     check_breakpoints(grid.T, tau_profile, sigma_profile)
     lefts = grid.points[:-1]
@@ -139,8 +143,9 @@ def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params)
     denom = tau2 + sig2
     v_values = v.values(grid.points, params)
     part_v = stieltjes_cumulative(v_values, sig2 / denom)
-    part_x = stieltjes_cumulative(np.asarray(x_values, dtype=float), tau2 / denom)
-    return part_v + part_x
+    part_x = stieltjes_cumulative(np.asarray(x_values, dtype=float), tau2 / denom, out)
+    part_x += part_v  # in place: part_x is a new array or out
+    return part_x
 
 
 def bayes_estimate(sample: PathSample, spec: BayesSpec, sigma_profile=None) -> EstimateSeries:

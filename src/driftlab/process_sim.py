@@ -353,9 +353,13 @@ _LOW = np.uint64(0xFFFFFFFF)
 _HALF = np.uint64(32)
 
 
-def _noise_block(seed, start, count, dim):
+def _noise_block(seed, start, count, dim, out=None):
     """Rows start..start+count-1 of seed's replicates, as a new (count, dim)
     array: row i is noise_stream(seed, start + i).standard_normal(dim).
+
+    With out, a C-contiguous (count, dim) float array, the rows are drawn
+    into it and it is returned, so that a caller drawing a block in chunks
+    reuses one buffer; every element of out is overwritten.
 
     A narrow block of many rows (dim <= _ARRAY_MAX_DIM, count >=
     _ARRAY_MIN_ROWS) is drawn in array form by _array_rows, when
@@ -365,7 +369,10 @@ def _noise_block(seed, start, count, dim):
     # before any draw: past the key range the state setter and the array
     # path's uint64 arrays raise OverflowError, not this ValueError
     _check_keys(seed, start, start + count - 1)
-    out = np.empty((count, dim))
+    if out is None:
+        out = np.empty((count, dim))
+    elif out.shape != (count, dim) or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous ({count}, {dim}) array")
     rows = range(count)
     if count >= _ARRAY_MIN_ROWS and dim <= _ARRAY_MAX_DIM:
         tables = _array_tables()
@@ -681,24 +688,34 @@ def cumulative_trapezoid(y, dx):
     return np.concatenate(([0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)))
 
 
-def stieltjes_cumulative(values, left_weights):
+def stieltjes_cumulative(values, left_weights, out=None):
     """Cumulative left-point Riemann-Stieltjes sums sum_{j<m} w_j (p_{j+1} - p_j).
 
     The sum is telescoped over runs of equal weight, so a constant-weight
     integral of a path starting at p_0 = 0 comes out as w * p_m with no
     accumulated rounding.  `values` may be (..., M+1); weights are per
     interval (length M).
+
+    With out, a float array of values' shape that does not overlap values,
+    the sums are formed in it, with no temporary array, and it is returned.
+    Node m of run j..k is (p_m - p_j) w_j + out_j either way: the same IEEE
+    operations, so the bits do not depend on out.
     """
     values = np.asarray(values, dtype=float)
     left_weights = np.asarray(left_weights, dtype=float)
     M = values.shape[-1] - 1
     if left_weights.shape != (M,):
         raise ValueError("need one weight per grid interval")
-    out = np.empty_like(values)
+    if out is None:
+        out = np.empty_like(values)
+    elif out.shape != values.shape or np.may_share_memory(out, values):
+        raise ValueError(f"out must be a separate array of shape {values.shape}")
     out[..., 0] = 0.0
     # run j..k-1 of equal weight covers nodes j+1..k
     starts = np.flatnonzero(left_weights[1:] != left_weights[:-1]) + 1
     for j, k in zip([0, *starts.tolist()], [*starts.tolist(), M]):
-        seg = values[..., j + 1 : k + 1] - values[..., j : j + 1]
-        out[..., j + 1 : k + 1] = out[..., j : j + 1] + left_weights[j] * seg
+        seg = out[..., j + 1 : k + 1]
+        np.subtract(values[..., j + 1 : k + 1], values[..., j : j + 1], out=seg)
+        seg *= left_weights[j]
+        seg += out[..., j : j + 1]
     return out

@@ -247,22 +247,54 @@ def _report(moments, seed, label, j=()):
 # its settings as keywords bound with functools.partial and returns a tuple
 # of per-replicate arrays, replicate index first.
 
-_SUB_CHUNK = 64  # replicates (groups) drawn at once: bounds a block's arrays
+_SUB_CHUNK = 64  # the fewest replicates (groups) a chunk draws
+_CHUNK_NORMALS = 2**16  # a chunk draws about this many normals, or fewer
+
+
+def _chunk_rows(width):
+    """Replicates (groups) a block kernel draws and forms at once, when each
+    draws width normals: the largest power of two not above
+    _CHUNK_NORMALS / width, clamped to [_SUB_CHUNK, _BLOCK]. A power of two
+    no larger than _task_size(width), so pool tasks start on chunk
+    boundaries."""
+    rows = 1 << (max(_CHUNK_NORMALS // width, 1).bit_length() - 1)
+    return min(max(rows, _SUB_CHUNK), _BLOCK)
+
+
+def _chunked(count, width, chunk, *row_shapes):
+    """Run chunk(off, sub, *bufs) over the consecutive chunks of
+    _chunk_rows(width) rows that tile a block of count rows, and join the
+    per-row columns it returns in row order. bufs are the first sub rows of
+    one buffer per row shape, allocated once for the call and reused by
+    every chunk, so a block's working set is one chunk's."""
+    rows = min(_chunk_rows(width), count)
+    bufs = [np.empty((rows, *shape)) for shape in row_shapes]
+    cols = None
+    for off in range(0, count, rows):
+        sub = min(rows, count - off)
+        part = chunk(off, sub, *(buf[:sub] for buf in bufs))
+        if cols is None:
+            cols = tuple(np.empty((count, *col.shape[1:])) for col in part)
+        for col, values in zip(cols, part):
+            col[off:off + sub] = values
+    return cols
 
 
 def _efficient_block(start, count, *, seed, params, n_basis, group=1):
     # estimate - u = X - u = X^u = sum_k lambda_k eta_k e_k: the drift
     # cancels, and the L^2 risk is the coefficient sum sum_k (lambda_k eta_k)^2.
-    # start/count index groups; group g averages replicates g*group..(g+1)*group-1,
-    # and _SUB_CHUNK groups are drawn at a time, each sub-chunk into a fresh array
+    # start/count index groups; group g averages replicates g*group..(g+1)*group-1
     lam = SineBasis(params.sigma, params.T, n_basis).eigenvalues()
-    risks = np.empty(count)
-    for off in range(0, count, _SUB_CHUNK):
-        sub = min(_SUB_CHUNK, count - off)
-        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis)
-        coef = eta.reshape(sub, group, n_basis).mean(axis=1) * lam
-        risks[off:off + sub] = np.einsum("ij,ij->i", coef, coef)
-    return (risks,)
+
+    def chunk(off, sub, buf):
+        eta = _noise_block(seed, (start + off) * group, sub * group, n_basis,
+                           out=buf.reshape(sub * group, n_basis))
+        # a mean of one is exact: a group of one is scaled in place
+        coef = eta if group == 1 else eta.reshape(sub, group, n_basis).mean(axis=1)
+        coef *= lam
+        return (np.einsum("ij,ij->i", coef, coef),)
+
+    return _chunked(count, n_basis * group, chunk, (group * n_basis,))
 
 
 def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
@@ -275,7 +307,9 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
     sum_k lambda_k^2 eta_k^2, which is independent of the correction; it is
     replaced by its exact mean sum_k lambda_k^2 (conditional Monte Carlo), so
     only n normals a replicate are drawn. grid_m is read only by the
-    correction-forms cross-check; without it the risk column alone is formed.
+    correction-forms cross-check; without it the risk column alone is
+    formed, in chunks of _chunk_rows(n) replicates. With it the block is one
+    call: BLAS rounds the James-Stein norm's c @ gram by its row count.
 
     With grid_m the block returns six columns: the risk; the one paired
     difference risk - R - a^2/D - 2a(n-2)/D of the risk identity; ||D log F||^2
@@ -287,20 +321,25 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
     """
     n, a = fnl.n, fnl.a
     sigma, T = params.sigma, params.T
-    eta = _noise_block(seed, start, count, n)
     lam = SineBasis(sigma, T, n_basis).eigenvalues()
-    # the test hook corrupts the eigenvalues only where coefficients are
-    # formed; the error coefficients and the tail stay honest, so a scale
-    # != 1 breaks the pairing the identities rely on
-    c, dn, corr = stein_terms(eta, lam[:n] * lambda_scale, b, a, start)
-    err = eta  # in place: eta is not read again
-    err *= lam[:n]
-    err += corr
-    risk = np.einsum("ij,ij->i", err, err)
     tail = lam[n:]
-    risk += tail @ tail
+
+    def risk_terms(first, eta):
+        # the test hook corrupts the eigenvalues only where coefficients are
+        # formed; the error coefficients and the tail stay honest, so a scale
+        # != 1 breaks the pairing the identities rely on
+        c, dn, corr = stein_terms(eta, lam[:n] * lambda_scale, b, a, first)
+        err = eta  # in place: eta is not read again
+        err *= lam[:n]
+        err += corr
+        risk = np.einsum("ij,ij->i", err, err)
+        risk += tail @ tail
+        return risk, c, dn, corr
+
     if grid_m is None:
-        return (risk,)
+        return _chunked(count, n, lambda off, sub, buf: risk_terms(
+            start + off, _noise_block(seed, start + off, sub, n, out=buf))[:1], (n,))
+    risk, c, dn, corr = risk_terms(start, _noise_block(seed, start, count, n))
 
     delta_f, delta_sqrt, grad = stein_closed_forms(n, a, dn)
     dlog = a * (n - 2) / dn
@@ -340,32 +379,35 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     # m noise increments, then m prior-drift increments when u is drawn;
     # the streams are prefix-stable, so a fixed drift just draws fewer
     dim = 2 * m if u is None else m
-    risks = np.empty(count)
-    # _SUB_CHUNK replicates at a time; each sub-chunk's draws, paths and
-    # posterior curve are fresh arrays
-    for off in range(0, count, _SUB_CHUNK):
-        sub = min(_SUB_CHUNK, count - off)
-        draws = _noise_block(seed, start + off, sub, dim)
+
+    def chunk(off, sub, draws, x, curve, u_path=None):
+        # the draws, paths and posterior curve fill buffers of the block call
+        draws = _noise_block(seed, start + off, sub, dim, out=draws)
         u_vals = drift
         if u is None:
-            u_vals = _from_zero(draws[:, m:], tau_left)
+            u_vals = _from_zero(draws[:, m:], tau_left, u_path)
             u_vals += drift
         # the martingale part is built from grid increments here (exact in
         # distribution at the nodes), so no basis truncation enters
-        x = _from_zero(draws[:, :m], sig_left)
+        x = _from_zero(draws[:, :m], sig_left, x)
         x += u_vals
-        err = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params)
-        err -= u_vals  # in place: the curve is a fresh array
+        err = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params, curve)
+        err -= u_vals
         err *= err
-        risks[off:off + sub] = err @ qw
-    return (risks,)
+        return (err @ qw,)
+
+    # x, the posterior curve and, when it is drawn, the drift's path
+    paths = [(m + 1,)] * (3 if u is None else 2)
+    return _chunked(count, dim, chunk, (dim,), *paths)
 
 
-def _from_zero(inc, scale):
+def _from_zero(inc, scale, out=None):
     """Node values of paths that start at 0 and have the grid increments
-    inc * scale; inc is scaled in place."""
+    inc * scale, in out (a new array when out is None); inc is scaled in
+    place."""
     inc *= scale
-    out = np.empty((inc.shape[0], inc.shape[1] + 1))
+    if out is None:
+        out = np.empty((inc.shape[0], inc.shape[1] + 1))
     out[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
@@ -373,10 +415,15 @@ def _from_zero(inc, scale):
 
 def _gain_block(start, count, *, seed, n_max, rho, last=False):
     # one gain column per entry of the tuple rho, all from the same draws
-    z = _noise_block(seed, start, count, n_max)
     ell = np.arange(1, n_max + 1)
     w = math.pi * (ell - 0.5)
-    return tuple(_gain_column(z, w, -r * (-1.0) ** ell, start, last) for r in rho)
+    deltas = [-r * (-1.0) ** ell for r in rho]
+
+    def chunk(off, sub, buf):
+        z = _noise_block(seed, start + off, sub, n_max, out=buf)
+        return tuple(_gain_column(z, w, delta, start + off, last) for delta in deltas)
+
+    return _chunked(count, n_max, chunk, (n_max,))
 
 
 def _gain_column(z, w, delta, start, last=False):

@@ -47,10 +47,11 @@ def test_pooled_workers_count_their_streams(monkeypatch):
         with forced_pool():
             risk_engine.mc_risk("efficient", DriftSpec.linear(1.0), ModelParams(), 6144, 3,
                                 n_basis=16, workers=2)
-        # one pool, two whole-block tasks of 4096 and 2048 replicates, drawn
-        # in 64 and 32 sub-chunks of 64 rows
+        # one pool, two whole-block tasks of 4096 and 2048 replicates, each
+        # drawn in one chunk (16 normals a replicate: whole-block chunks)
         assert tracer.calls["risk_engine.pool"] == 1
-        assert tracer.counts["noise_streams"] == 96
+        assert risk_engine._chunk_rows(16) == 4096
+        assert tracer.counts["noise_streams"] == 2
         assert tracer.counts["normals"] == 6144 * 16
     finally:
         tracer.uninstall()

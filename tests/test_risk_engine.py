@@ -49,9 +49,18 @@ U = DriftSpec.linear(1.0)
 JS4 = CylindricalFunctional(n=4, a=-2.0)
 
 
-def zero_draws(seed, start, count, dim):
-    """Stand-in for _noise_block that returns zeros of the shape it would draw."""
-    return np.zeros((count, dim))
+def zero_draws(seed, start, count, dim, out=None):
+    """Stand-in for _noise_block that returns zeros of the shape it would
+    draw, in out when it is given."""
+    if out is None:
+        return np.zeros((count, dim))
+    assert out.shape == (count, dim)
+    out.fill(0.0)
+    return out
+
+
+def stein_worker(fnl, lambda_scale=1.0, n_basis=16, grid_m=32):
+    return risk_engine._stein_worker(fnl, U, PARAMS, 5, n_basis, grid_m, lambda_scale)
 
 
 def truncated_efficient_risk(n_basis, params=PARAMS):
@@ -110,15 +119,15 @@ class TestMcRisk:
         # reads 64 drift increments
         dims = []
 
-        def recording(seed, start, count, d):
+        def recording(seed, start, count, d, out=None):
             dims.append(d)
-            return noise_block(seed, start, count, d)
+            return noise_block(seed, start, count, d, out=out)
 
         noise_block = risk_engine._noise_block
         monkeypatch.setattr(risk_engine, "_noise_block", recording)
         mc_risk(BayesSpec.centered(1.0), U, PARAMS, 300, 5, grid_m=64,
                 prior_drift=prior_drift)
-        assert dims == [dim] * math.ceil(300 / risk_engine._SUB_CHUNK)  # one per sub-chunk
+        assert dims == [dim] * math.ceil(300 / risk_engine._chunk_rows(dim))  # one per chunk
 
     def test_stein_needs_n_basis_at_least_n(self, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -193,7 +202,7 @@ class TestMcRisk:
         # n_basis modes enter as the exact tail mean and are never drawn
         widths = []
 
-        def recording(seed, start, count, dim):
+        def recording(seed, start, count, dim, out=None):
             widths.append(dim)
             return np.ones((count, dim))
 
@@ -266,25 +275,32 @@ class TestDrawBuffer:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
-    @pytest.mark.parametrize("block, group", [
-        (partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=8, group=3), 3),
-        (partial(risk_engine._bayes_block, seed=1, grid_m=16, spec=BayesSpec.centered(1.0),
-                 params=PARAMS, u=None), 1),
-    ], ids=["efficient", "bayes"])
-    def test_sub_chunks_tile_the_block(self, monkeypatch, block, group):
-        # replicates (groups) 100..699 are drawn as consecutive sub-chunks of
-        # _SUB_CHUNK, the last one shorter
-        calls = []
+    @pytest.mark.parametrize("block, group, width", [
+        (partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=512, group=3), 3,
+         3 * 512),
+        (partial(risk_engine._bayes_block, seed=1, grid_m=512, spec=BayesSpec.centered(1.0),
+                 params=PARAMS, u=None), 1, 2 * 512),
+        (partial(risk_engine._gain_block, seed=1, n_max=200, rho=(1.0,), last=True), 1, 200),
+        (stein_worker(CylindricalFunctional(n=300, a=-298.0), n_basis=1024, grid_m=None), 1,
+         300),
+    ], ids=["efficient", "bayes", "gain", "stein-risk"])
+    def test_sub_chunks_tile_the_block(self, monkeypatch, block, group, width):
+        # replicates (groups) 100..699 are drawn as consecutive chunks of
+        # _chunk_rows(width), the last one shorter, into one buffer
+        calls, buffers = [], set()
 
-        def recording(seed, start, count, dim):
+        def recording(seed, start, count, dim, out=None):
             calls.append((start, count))
-            return zero_draws(seed, start, count, dim)
+            buffers.add(out.ctypes.data)  # every chunk starts at the buffer's start
+            return zero_draws(seed, start, count, dim, out)
 
         monkeypatch.setattr(risk_engine, "_noise_block", recording)
         block(100, 600)
-        sub = risk_engine._SUB_CHUNK
+        sub = risk_engine._chunk_rows(width)
+        assert sub < 600
         assert calls == [((100 + off) * group, min(sub, 600 - off) * group)
                          for off in range(0, 600, sub)]
+        assert len(buffers) == 1
 
     @pytest.mark.parametrize("u, bound", [(None, 38), (U, 30)], ids=["prior", "fixed"])
     def test_bayes_paths_fill_buffers_of_the_block_call(self, monkeypatch, u, bound):
@@ -337,10 +353,6 @@ class TestDrawBuffer:
 TASK_SIZES = (risk_engine._TASK, 2 * risk_engine._TASK)
 
 
-def stein_worker(fnl, lambda_scale=1.0, n_basis=16, grid_m=32):
-    return risk_engine._stein_worker(fnl, U, PARAMS, 5, n_basis, grid_m, lambda_scale)
-
-
 class TestTaskSplit:
     """A pool runs each block as tasks of _TASK, 2 _TASK or _BLOCK replicates,
     whichever first draws _TASK_NORMALS normals (width normals a replicate),
@@ -377,9 +389,9 @@ class TestTaskSplit:
         drawn, runs = [], []
         real_draw, real_run = risk_engine._noise_block, risk_engine._run_blocks
 
-        def draw(seed, start, count, dim):
+        def draw(seed, start, count, dim, out=None):
             drawn.append(count * dim)
-            return real_draw(seed, start, count, dim)
+            return real_draw(seed, start, count, dim, out=out)
 
         def run(worker, reps, workers, width):
             runs.append((reps, width))
@@ -545,8 +557,8 @@ class TestDegenerateDenominators:
         real = risk_engine._noise_block
         targets = (self.START + self.ROW, self.START + self.ROW + 3)
 
-        def fake(seed, start, count, dim):
-            out = real(seed, start, count, dim)
+        def fake(seed, start, count, dim, out=None):
+            out = real(seed, start, count, dim, out=out)
             for target in targets:
                 if start <= target < start + count:
                     out[target - start] = 0.0
