@@ -312,7 +312,9 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
     call: BLAS rounds the James-Stein norm's c @ gram by its row count.
 
     With grid_m the block returns six columns: the risk; the one paired
-    difference risk - R - a^2/D - 2a(n-2)/D of the risk identity; ||D log F||^2
+    difference risk - R_{n_basis} - a^2/D - 2a(n-2)/D of the risk identity, with
+    R_{n_basis} = sum_{k<=n_basis} lambda_k^2 the bound truncated as the risk
+    is; ||D log F||^2
     (the bias bound's right side); per replicate, the largest gap between the
     unbiased form a^2/D + 2a(n-2)/D and each superharmonic rewrite of it
     (4 Delta sqrt(F)/sqrt(F), 2 Delta F/F - ||D log F||^2 and, at a = 2-n,
@@ -343,8 +345,9 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
 
     delta_f, delta_sqrt, grad = stein_closed_forms(n, a, dn)
     dlog = a * (n - 2) / dn
-    # the risk identity: risk = R + E[term], term = a^2/D + 2a(n-2)/D
-    paired = risk - cramer_rao_bound(sigma, T) - grad - 2.0 * dlog
+    # the risk identity: E[risk] = R_{n_basis} + E[term], term = a^2/D + 2a(n-2)/D;
+    # the untruncated bound would leave -sum_{k>n_basis} lambda_k^2 in the mean
+    paired = risk - lam @ lam - grad - 2.0 * dlog
     # the superharmonic rewrites of term, each checked against it pathwise
     term = grad + 2.0 * dlog
     rewrites = [4.0 * delta_sqrt, 2.0 * delta_f - grad]
@@ -647,11 +650,13 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     The Monte Carlo rows are one paired variable: the unbiased, sqrt-Laplacian,
     log-gradient and (at a = 2-n) harmonic forms of the term
     E[a^2/D + 2a(n-2)/D] that the risk adds to R are algebraic rewrites of each
-    other, so every row prints the moments of risk - R - a^2/D - 2a(n-2)/D
-    (the same lhs, rhs and paired_stderr). The chain-rule row checks the
-    rewrites instead: it is the largest gap, over replicates and forms,
-    between each rewrite and the unbiased form, so a wrong closed form fails
-    it pathwise.  The bias row checks ||E corr||^2 <= E||D log F||^2.
+    other, so every row prints the moments of
+    risk - R_{n_basis} - a^2/D - 2a(n-2)/D (the same lhs, rhs and
+    paired_stderr), where R_{n_basis} = sum_{k<=n_basis} lambda_k^2 is the
+    efficient risk truncated at n_basis, as the measured risk is. The
+    chain-rule row checks the rewrites instead: it is the largest gap, over
+    replicates and forms, between each rewrite and the unbiased form, so a
+    wrong closed form fails it pathwise.  The bias row checks ||E corr||^2 <= E||D log F||^2.
     lambda_scale != 1 is a fault-injection hook for negative controls; it
     must be positive.
 
@@ -662,8 +667,8 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     James-Stein functional with grid_m < n raises ValueError before any draw
     (after the n <= n_basis check). Each replicate
     draws its first n coefficients; the risk's modes n < k <= n_basis enter
-    as the exact tail mean sum_k lambda_k^2 (see mc_risk), which cancels
-    from every paired difference.
+    as the exact tail mean sum_k lambda_k^2 (see mc_risk), which
+    R_{n_basis} cancels from every paired difference.
 
     The pathwise rows are measured in the units of their terms, so that
     rounding is judged against the same bound at every scale: the

@@ -241,7 +241,7 @@ PINNED_BYTES = {
                "9b09b6b691a6a278dc9a2bf44287221ba0eb77d95e3346c840743847c123111f"),
     "identity-suite": (["identity-suite", "--n", "4", "--reps", "9000", "--seed", "2",
                         "--grid", "256", "--n-basis", "64"],
-                       "1c8101ba27c1492d33e2060f64e1e365c93e14d5bff1a4cd9d3ba3f18987f84f",
+                       "c025a8795b2a59899aee4445b2f5225e835f0b9f53b723bec600a76f5f98b01b",
                        "a98f3b842641197e1aa6211ffe3c910bc69240b277ea3f70d71997ae7bdec08f"),
     "optimal-n": (["optimal-n", "--n-max", "6", "--reps", "4000", "--seed", "11"],
                   "f8ace2c644c44a63d08fcc58eab7380bb2ebd9f1ed0258a90636ac6550eefd60",

@@ -62,8 +62,8 @@ CURVE = [
     (6, "0x1.60150d793d126p-4", "0x1.9b04953434300p-10"),
 ]
 
-_JS4_RISK = ("0x1.ca150f481ad56p-2", "0x1.c9255310405aap-2", "0x1.0c9a24920e0afp-7")
-_GENERAL_RISK = ("0x1.e286edab04ba1p-2", "0x1.e4328516e3516p-2", "0x1.067a351c86076p-7")
+_JS4_RISK = ("0x1.ca150f481ad56p-2", "0x1.c2a9d15dc4c4fp-2", "0x1.0c9a24920e0afp-7")
+_GENERAL_RISK = ("0x1.e286edab04ba1p-2", "0x1.ddb7036467bbbp-2", "0x1.067a351c86076p-7")
 SUITES = {
     "james-stein": (JS4, [
         ("unbiased-risk", *_JS4_RISK),

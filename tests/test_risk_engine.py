@@ -645,6 +645,21 @@ class TestIdentitySuite:
             assert (row.lhs, row.rhs, row.paired_stderr, row.passed) == (
                 unbiased.lhs, unbiased.rhs, unbiased.paired_stderr, unbiased.passed), row.name
 
+    @pytest.mark.parametrize("fnl", [JS4, CylindricalFunctional(n=5, a=-1.0)],
+                             ids=["james-stein", "general-exponent"])
+    def test_paired_column_subtracts_the_truncated_bound(self, monkeypatch, fnl):
+        # with zero draws c = b, and the risk is ||corr||^2 plus the tail
+        # sum_{n<k<=n_basis} lambda_k^2, so the paired difference is
+        # -sum_{k<=n} lambda_k^2 - 2a(n-2)/||b||^2: no mode past n_basis
+        # enters it. Paired with the untruncated bound R, it was lower by
+        # sum_{k>n_basis} lambda_k^2, 0.0063 at n_basis 16
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
+        n, a, b = fnl.n, fnl.a, fnl.offsets(U, PARAMS)
+        lam = SineBasis(PARAMS.sigma, PARAMS.T, n).eigenvalues()
+        paired = stein_worker(fnl, n_basis=16, grid_m=32)(0, 8)[1]
+        expected = -(lam @ lam) - 2.0 * a * (n - 2) / (b @ b)
+        np.testing.assert_allclose(paired, np.full(8, expected), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("fnl, peak", [(CylindricalFunctional(n=5, a=-1.0), 0.847),
                                            (JS4, 1.69)], ids=["general-exponent", "james-stein"])
     def test_wrong_closed_form_fails_pathwise(self, monkeypatch, fnl, peak):
@@ -686,7 +701,8 @@ class TestIdentityReportRows:
         report = identity_suite(fnl, U, PARAMS, 4_000, 5, grid_m=256, n_basis=64)
         assert report.fnl is fnl  # the report records the functional it was computed for
         row = report.row("unbiased-risk")
-        assert abs(row.rhs - 0.5) < 1e-10  # RHS collapses to R exactly
+        # RHS collapses exactly to the bound truncated at n_basis, as the risk is
+        assert abs(row.rhs - truncated_efficient_risk(64)) < 1e-10
         assert row.passed
 
 
