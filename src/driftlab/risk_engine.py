@@ -6,6 +6,13 @@ from (seed, reps, grid, n_basis) regardless of the worker count, and of
 whether a process pool ran the blocks: `_run_blocks` starts one only for a
 run of at least two tasks that draws at least `_POOL_NORMALS` normals.
 
+Each block kernel draws and forms its replicates in chunks of
+`_chunk_rows(width)` (about 2**16 normals; 64 to 4096 replicates) through
+buffers allocated once per block call, so a block's working set is one
+chunk's. The identity suite's Stein block stays one call: BLAS rounds its
+James-Stein norm c @ gram by row count. Every other per-replicate value
+depends on its replicate's draws alone, so chunking moves no bit.
+
 No SciPy module is loaded here: the Faddeeva function of the n = 3 gain
 column is `_faddeeva`, NumPy code, so importing driftlab and every gain call
 (serial, or in a pool's workers) load no SciPy. `_run_blocks` builds the
@@ -47,8 +54,9 @@ from .process_sim import (
 # block size fixed: the replicate partition must not depend on workers
 _BLOCK = 4096
 # a pool's unit of work is _TASK or 2 _TASK replicates, whichever first draws
-# _TASK_NORMALS normals, or else a whole _BLOCK: each a multiple of _SUB_CHUNK
-# that divides _BLOCK, so a task's sub-chunks start where the whole block's do
+# _TASK_NORMALS normals, or else a whole _BLOCK: each divides _BLOCK and is a
+# multiple of _chunk_rows(width), so a task's chunks start where the whole
+# block's do
 _TASK = 1024
 _TASK_NORMALS = 2**20
 # a run that draws fewer normals than this runs in-process: a fork, and the
@@ -312,14 +320,14 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
     call: BLAS rounds the James-Stein norm's c @ gram by its row count.
 
     With grid_m the block returns six columns: the risk; the one paired
-    difference risk - R_{n_basis} - a^2/D - 2a(n-2)/D of the risk identity, with
-    R_{n_basis} = sum_{k<=n_basis} lambda_k^2 the bound truncated as the risk
-    is; ||D log F||^2
-    (the bias bound's right side); per replicate, the largest gap between the
-    unbiased form a^2/D + 2a(n-2)/D and each superharmonic rewrite of it
-    (4 Delta sqrt(F)/sqrt(F), 2 Delta F/F - ||D log F||^2 and, at a = 2-n,
-    -||D log F||^2); the correction-forms deviation (zero off a = 2-n); and
-    the correction coefficients.
+    difference risk - R_{n_basis} - a^2/D - 2a(n-2)/D of the risk identity,
+    with R_{n_basis} = sum_{k<=n_basis} lambda_k^2 the bound truncated as the
+    risk is; ||D log F||^2 (the bias bound's right side); per replicate, the
+    largest gap between the unbiased form a^2/D + 2a(n-2)/D and each
+    superharmonic rewrite of it (4 Delta sqrt(F)/sqrt(F),
+    2 Delta F/F - ||D log F||^2 and, at a = 2-n, -||D log F||^2); the
+    correction-forms deviation (zero off a = 2-n); and the correction
+    coefficients.
     """
     n, a = fnl.n, fnl.a
     sigma, T = params.sigma, params.T
@@ -339,8 +347,11 @@ def _stein_block(start, count, *, seed, params, n_basis, fnl, b, grid_m=None,
         return risk, c, dn, corr
 
     if grid_m is None:
-        return _chunked(count, n, lambda off, sub, buf: risk_terms(
-            start + off, _noise_block(seed, start + off, sub, n, out=buf))[:1], (n,))
+        def chunk(off, sub, buf):
+            first = start + off
+            return risk_terms(first, _noise_block(seed, first, sub, n, out=buf))[:1]
+
+        return _chunked(count, n, chunk, (n,))
     risk, c, dn, corr = risk_terms(start, _noise_block(seed, start, count, n))
 
     delta_f, delta_sqrt, grad = stein_closed_forms(n, a, dn)
@@ -656,9 +667,9 @@ def identity_suite(fnl: CylindricalFunctional, u: DriftSpec, params: ModelParams
     efficient risk truncated at n_basis, as the measured risk is. The
     chain-rule row checks the rewrites instead: it is the largest gap, over
     replicates and forms, between each rewrite and the unbiased form, so a
-    wrong closed form fails it pathwise.  The bias row checks ||E corr||^2 <= E||D log F||^2.
-    lambda_scale != 1 is a fault-injection hook for negative controls; it
-    must be positive.
+    wrong closed form fails it pathwise.  The bias row checks
+    ||E corr||^2 <= E||D log F||^2. lambda_scale != 1 is a fault-injection
+    hook for negative controls; it must be positive.
 
     The risk and bias rows are coefficient sums and do not depend on
     grid_m; the correction-forms row integrates the James-Stein norm on

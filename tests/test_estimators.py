@@ -17,6 +17,7 @@ from driftlab import (
     bayes_risk_closed_form,
     observed_coefficient,
     observed_path,
+    posterior_drift_curve,
     reconstruct_path,
     risk_engine,
     scaled_projection,
@@ -326,6 +327,19 @@ class TestScaledProjection:
 
 
 class TestBayes:
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["path", "rows"])
+    def test_drift_curve_in_out_has_the_allocating_bytes(self, shape):
+        # weights change at 0.3, 0.5 and 0.7: four runs of the dX sums and
+        # three of the dv sums
+        grid = TimeGrid(200, 1.0)
+        tau = VolatilityProfile(levels=(1.0, 2.0, 0.5), breakpoints=(0.3, 0.7))
+        sigma = VolatilityProfile(levels=(1.0, 3.0), breakpoints=(0.5,))
+        x = np.cumsum(np.random.default_rng(3).standard_normal(shape + (201,)), axis=-1)
+        args = (x, DriftSpec.linear(0.5), tau, sigma, grid, PARAMS)
+        out = np.full(x.shape, np.nan)
+        assert posterior_drift_curve(*args, out=out) is out
+        assert out.tobytes() == posterior_drift_curve(*args).tobytes()
+
     def test_equal_volatility_halves_the_observation(self):
         s = make_sample()
         spec = BayesSpec.centered(1.0)

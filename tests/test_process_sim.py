@@ -465,6 +465,12 @@ class TestStieltjesCumulative:
         with pytest.raises(ValueError):
             stieltjes_cumulative(np.zeros(5), np.zeros(3))
 
+    def test_out_must_be_a_separate_array_of_the_shape(self):
+        values = np.zeros((2, 5))
+        for out in (np.zeros((2, 4)), values, values[:, ::-1]):
+            with pytest.raises(ValueError, match="separate array"):
+                stieltjes_cumulative(values, np.ones(4), out)
+
 
 class TestCumulativeTrapezoid:
     @pytest.mark.parametrize("size", [1, 2, 3, 2049, 8193])

@@ -67,12 +67,17 @@ def noise_blocks(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(noise_blocks())
 def test_noise_block_is_the_stream_loop(rekey, block):
-    # noise_stream defines a replicate's draws; a block must reproduce them
+    # noise_stream defines a replicate's draws; a block must reproduce them,
+    # also when drawn into the leading rows of a longer buffer, as a chunk is
     with rekeyed(rekey):
         seed, start, count, dim = block
         expected = np.array([noise_stream(seed, start + i).standard_normal(dim)
                              for i in range(count)])
         np.testing.assert_array_equal(_noise_block(seed, start, count, dim), expected)
+        buf = np.full((count + 2, dim), np.nan)
+        assert _noise_block(seed, start, count, dim, out=buf[:count]).base is buf
+        assert buf[:count].tobytes() == expected.tobytes()
+        assert np.isnan(buf[count:]).all()
 
 
 @REKEY_PATHS
@@ -114,6 +119,13 @@ def test_noise_block_returns_a_new_array(rekey, block):
         assert first.flags.c_contiguous and first.flags.writeable
         assert not np.shares_memory(first, second)
         np.testing.assert_array_equal(first, second)
+
+
+@pytest.mark.parametrize("out", [np.empty((3, 5)), np.empty((4, 3)), np.empty((4, 3)).T],
+                         ids=["wider", "longer", "not-contiguous"])
+def test_noise_block_out_must_fit(out):
+    with pytest.raises(ValueError, match=r"C-contiguous \(3, 4\) array"):
+        _noise_block(0, 0, 3, 4, out=out)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -268,3 +280,8 @@ def test_stieltjes_runs_match_the_scan(case):
     values, weights = case
     np.testing.assert_array_equal(stieltjes_cumulative(values, weights),
                                   _scanning_stieltjes(values, weights))
+    # formed in place in a given array: the allocating call's bytes, signed
+    # zeros included
+    out = np.full_like(values, np.nan)
+    assert stieltjes_cumulative(values, weights, out) is out
+    assert out.tobytes() == _scanning_stieltjes(values, weights).tobytes()

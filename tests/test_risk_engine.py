@@ -256,15 +256,82 @@ class TestSampleAverage:
         assert peak < 80 * 2**20
 
 
+TWO_BREAKPOINT_TAU = VolatilityProfile(levels=(1.0, 2.0, 0.5), breakpoints=(0.3, 0.7))
+
+
+def whole_block(monkeypatch, worker, start, count):
+    """worker(start, count) with the chunk rule and with every block drawn
+    as one chunk."""
+    chunked = worker(start, count)
+    with monkeypatch.context() as m:
+        m.setattr(risk_engine, "_chunk_rows", lambda width: risk_engine._BLOCK)
+        whole = worker(start, count)
+    return chunked, whole
+
+
+class TestChunkRule:
+    """_chunk_rows(width) replicates are drawn and formed at once; each
+    kernel's columns are byte for byte those of one whole-block chunk."""
+
+    @pytest.mark.parametrize("width, rows", [
+        (1, 4096), (16, 4096), (17, 2048), (200, 256), (511, 128), (1024, 64), (4096, 64),
+    ])
+    def test_chunk_rows(self, width, rows):
+        assert risk_engine._chunk_rows(width) == rows
+
+    @pytest.mark.parametrize("width", [1, 3, 16, 17, 200, 511, 512, 1023, 1024, 4096, 10**6])
+    def test_pool_tasks_start_on_chunk_boundaries(self, width):
+        rows = risk_engine._chunk_rows(width)
+        assert rows & (rows - 1) == 0
+        assert risk_engine._task_size(width) % rows == 0
+
+    @staticmethod
+    def assert_same_bytes(chunked, whole):
+        assert len(chunked) == len(whole)
+        for a, b in zip(chunked, whole):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("n_max", [3, 16, 17, 200])
+    def test_gain(self, monkeypatch, n_max, last):
+        # three offsets, and the n = 3 Faddeeva column wherever it is formed
+        worker = partial(risk_engine._gain_block, seed=5, n_max=n_max, rho=(0.0, 1.0, 2.5),
+                         last=last)
+        self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 3000))
+
+    @pytest.mark.parametrize("u", [None, U], ids=["prior", "fixed"])
+    def test_bayes(self, monkeypatch, u):
+        spec = BayesSpec(tau=TWO_BREAKPOINT_TAU, v=DriftSpec.linear(0.5))
+        worker = partial(risk_engine._bayes_block, seed=5, grid_m=256, spec=spec,
+                         params=PARAMS, u=u)
+        self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 1000))
+
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_efficient(self, monkeypatch, group):
+        worker = partial(risk_engine._efficient_block, seed=5, params=PARAMS, n_basis=300,
+                         group=group)
+        self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 1000))
+
+    @pytest.mark.parametrize("n", [20, 300, 1024])
+    def test_stein_risk(self, monkeypatch, n):
+        worker = stein_worker(CylindricalFunctional(n=n, a=float(2 - n)), n_basis=1024,
+                              grid_m=None)
+        self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 2500))
+
+
 class TestDrawBuffer:
-    """Each sub-chunk draws into fresh arrays, so a block's peak is a few
-    sub-chunks' arrays; zeros stand in for the (slow) draws, since the peak
+    """Each chunk of _chunk_rows(width) replicates draws, and forms its
+    paths, into buffers allocated once per block call, so a block's peak is
+    one chunk's arrays; zeros stand in for the (slow) draws, since the peak
     is set by the shapes the block asks for."""
 
     def test_group_block_draws_into_one_buffer(self, monkeypatch):
-        # a 64-group sub-chunk of 16 draws 8 MiB, alive next to the previous
-        # one's; at 256 groups the same block peaked at 38 MiB with one
-        # 32 MiB buffer for every sub-chunk and at 66 MiB without
+        # a 64-group chunk of 16 draws 8 MiB into the one buffer, and its
+        # group means are 0.5 MiB: the block peaks at 8.6 MiB. The bound
+        # leaves 3.4 MiB, less than a second 8 MiB draw array; with a fresh
+        # draw array per sub-chunk the block peaked at 16.5 MiB, and at
+        # 256 groups at 38 MiB with one 32 MiB buffer and 66 MiB without
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -273,7 +340,7 @@ class TestDrawBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 40 * 2**20
+        assert peak < 12 * 2**20
 
     @pytest.mark.parametrize("block, group, width", [
         (partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=512, group=3), 3,
@@ -302,11 +369,14 @@ class TestDrawBuffer:
                          for off in range(0, 600, sub)]
         assert len(buffers) == 1
 
-    @pytest.mark.parametrize("u, bound", [(None, 38), (U, 30)], ids=["prior", "fixed"])
+    @pytest.mark.parametrize("u, bound", [(None, 6.5), (U, 4.5)], ids=["prior", "fixed"])
     def test_bayes_paths_fill_buffers_of_the_block_call(self, monkeypatch, u, bound):
-        # at grid 2048 the paths of a 64-replicate sub-chunk are 1 MiB each;
-        # at 256 replicates the block peaked at 40.3 and 32.3 MiB with fresh
-        # paths and at 36.3 and 28.3 MiB with per-call path buffers
+        # at grid 2048 a 64-replicate chunk's draws are 2 and 1 MiB and each
+        # path and the posterior curve 1 MiB, all buffers of the block call:
+        # the block peaks at 5.4 and 3.4 MiB. The bounds leave 1.1 MiB, less
+        # than one more path; with fresh draws, paths and curve per sub-chunk
+        # it peaked at 9.3 and 7.3 MiB, and at 256 replicates at 40.3 and
+        # 32.3 MiB with fresh paths
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -318,9 +388,10 @@ class TestDrawBuffer:
         assert peak < bound * 2**20
 
     def test_bayes_block_peak_with_a_prior_drift(self, monkeypatch):
-        # 64-replicate sub-chunks: the draws are 2 MiB and each path and
-        # posterior-curve array 1 MiB; with 256-replicate sub-chunks the
-        # block peaked at 36.3 MiB
+        # 64-replicate chunks: the draws are 2 MiB and each path and
+        # posterior-curve buffer 1 MiB, 5.4 MiB in all; 128-replicate chunks
+        # would double that, and with 256-replicate sub-chunks the block
+        # peaked at 36.3 MiB
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -329,15 +400,15 @@ class TestDrawBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 6.5 * 2**20
 
     def test_stein_block_scales_its_draws_in_place(self, monkeypatch):
-        # the block draws 4096 x n: at n = n_basis = 1024 the draws, the
-        # coefficients c and the correction are 32 MiB each, and the risk
-        # column alone (no grid) peaks at 96.1 MiB. The error coefficients
-        # formed as a new array (eta * lam + corr) took it to 128 MiB, and
-        # as two copies to 160 MiB; the bound leaves 8 MiB over the in-place
-        # peak and a whole 32 MiB array below the first of those
+        # the risk column alone (no grid) is formed in 64-replicate chunks at
+        # n = n_basis = 1024: the draw buffer, the coefficients c and the
+        # correction are 0.5 MiB each, and the block peaks at 1.6 MiB. The
+        # bound leaves 0.4 MiB, less than the 0.5 MiB a new error array
+        # (eta * lam + corr) would add; drawn as one 4096-replicate call, the
+        # block peaked at 96.1 MiB
         fnl = CylindricalFunctional(n=1024, a=-1022.0)
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
@@ -346,7 +417,21 @@ class TestDrawBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 104 * 2**20
+        assert peak < 2 * 2**20
+
+    def test_gain_block_peak(self, monkeypatch):
+        # at n_max 200 a 256-replicate chunk's draw buffer and its squared
+        # terms are 0.4 MiB each, and the block peaks at 0.9 MiB; the bound
+        # leaves 0.6 MiB. Drawn as one 4096-replicate call, the block peaked
+        # at 12.6 MiB
+        monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
+        tracemalloc.start()
+        try:
+            risk_engine._gain_block(0, 4096, seed=1, n_max=200, rho=(1.0,), last=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 # the task sizes below a whole block
@@ -576,6 +661,19 @@ class TestDegenerateDenominators:
         with pytest.raises(DegenerateSampleError) as info:
             block(self.START, 16)
         assert info.value.replicate == self.START + self.ROW
+        assert str(info.value) == f"{label} at replicate {self.START + self.ROW}"
+
+    @pytest.mark.parametrize("block, label", [
+        (partial(risk_engine._stein_block, seed=3, params=PARAMS, n_basis=300,
+                 fnl=CylindricalFunctional(n=300, a=-298.0), b=np.zeros(300)),
+         "zero functional denominator"),
+        (partial(risk_engine._gain_block, seed=3, n_max=200, rho=(0.0,)), "zero gain denominator"),
+    ], ids=["stein-risk", "gain"])
+    def test_a_later_chunk_names_its_replicate(self, zeroed_row, block, label):
+        # chunks of 128 and 256 replicates: the zero rows fall in the third
+        # and the second chunk, and are named by replicate, not by row
+        with pytest.raises(DegenerateSampleError) as info:
+            block(self.START - 256, 300)
         assert str(info.value) == f"{label} at replicate {self.START + self.ROW}"
 
     def test_cli_exits_three_without_output(self, zeroed_row, tmp_path, capsys):
