@@ -415,13 +415,10 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     return _chunked(count, dim, chunk, (dim,), *paths)
 
 
-def _from_zero(inc, scale, out=None):
-    """Node values of paths that start at 0 and have the grid increments
-    inc * scale, in out (a new array when out is None); inc is scaled in
-    place."""
+def _from_zero(inc, scale, out):
+    """Fill out with the node values of paths that start at 0 and have the
+    grid increments inc * scale, and return it; inc is scaled in place."""
     inc *= scale
-    if out is None:
-        out = np.empty((inc.shape[0], inc.shape[1] + 1))
     out[:, 0] = 0.0
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
