@@ -24,6 +24,7 @@ sample, 4 identity-suite failure (each failing row on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -92,6 +93,7 @@ _FLAGS = {
 }
 
 
+@functools.cache  # built once per process, however often main runs
 def _build_parser() -> _Parser:
     parser = _Parser(prog="driftlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -114,29 +116,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
-
-
 def _write(args, rows):
     """Write rows under the subcommand's CSV header to args.out, and its
     companion gnuplot script to <out>.plot.txt. A non-finite number in a row
-    is a ValueError naming its column, and then nothing is written."""
+    is a ValueError naming its column, and then nothing is written.
+
+    Every row is formatted with one template built from the first row's
+    types: a str as is, a bool or int as a decimal integer (a bool as 1 or
+    0), anything else as a float to 17 significant digits, the bytes of
+    format(float(value), ".17g")."""
     *_, header, title, terms = _SUBCOMMANDS[args.subcommand]
     out = args.out
     columns = header.split(",")
     csv_lines = [header]
+    template = None
     for i, row in enumerate(rows, 1):
         for name, value in zip(columns, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} is {value} in row {i}; no output written")
-        csv_lines.append(",".join(_fmt(v) for v in row))
+        if template is None:
+            template = ",".join("%s" if isinstance(v, str) else "%d" if isinstance(v, int)
+                                else "%.17g" for v in row)
+        csv_lines.append(template % tuple(row))
     with open(out, "w", encoding="ascii", newline="") as fh:
         fh.write("\n".join(csv_lines) + "\n")
     lines = [

@@ -135,15 +135,33 @@ def posterior_drift_curve(x_values, v, tau_profile, sigma_profile, grid, params,
     With out, an array of x_values' shape that does not overlap it, the
     curve is formed in it (the dX sums, then the dv sums added in place) and
     it is returned; the bits are those of the allocating call.
+
+    The curve is _posterior_path_curve of the _posterior_grid_terms, so a
+    caller with many paths on one grid (the Bayes risk block) forms the
+    grid terms once and gets the same bits.
     """
+    grid_terms = _posterior_grid_terms(v, tau_profile, sigma_profile, grid, params)
+    return _posterior_path_curve(x_values, *grid_terms, out)
+
+
+def _posterior_grid_terms(v, tau_profile, sigma_profile, grid, params):
+    """The part of posterior_drift_curve that depends on the grid alone: the
+    dX weight tau^2/(tau^2+sigma^2) of each grid interval and the dv sums at
+    the nodes. Raises ValueError when a profile breakpoint is not strictly
+    inside (0, T)."""
     check_breakpoints(grid.T, tau_profile, sigma_profile)
     lefts = grid.points[:-1]
     sig2 = sigma_profile.value(lefts) ** 2
     tau2 = tau_profile.value(lefts) ** 2
     denom = tau2 + sig2
-    v_values = v.values(grid.points, params)
-    part_v = stieltjes_cumulative(v_values, sig2 / denom)
-    part_x = stieltjes_cumulative(np.asarray(x_values, dtype=float), tau2 / denom, out)
+    part_v = stieltjes_cumulative(v.values(grid.points, params), sig2 / denom)
+    return tau2 / denom, part_v
+
+
+def _posterior_path_curve(x_values, weights, part_v, out=None):
+    """posterior_drift_curve of x_values from its grid terms (weights,
+    part_v), formed in out when it is given."""
+    part_x = stieltjes_cumulative(np.asarray(x_values, dtype=float), weights, out)
     part_x += part_v  # in place: part_x is a new array or out
     return part_x
 

@@ -7,11 +7,13 @@ whether a process pool ran the blocks: `_run_blocks` starts one only for a
 run of at least two tasks that draws at least `_POOL_NORMALS` normals.
 
 Each block kernel draws and forms its replicates in chunks of
-`_chunk_rows(width)` (about 2**16 normals; 64 to 4096 replicates) through
-buffers allocated once per block call, so a block's working set is one
-chunk's. The identity suite's Stein block stays one call: BLAS rounds its
-James-Stein norm c @ gram by row count. Every other per-replicate value
-depends on its replicate's draws alone, so chunking moves no bit.
+`_chunk_rows(width)` (1 to 4096 replicates, at most 2**16 normals unless one
+replicate draws more) through buffers allocated once per block call, so a
+block's working set is one chunk's; whatever depends on the grid alone, such
+as the Bayes block's posterior weights, is formed once per block call. The
+identity suite's Stein block stays one call: BLAS rounds its James-Stein
+norm c @ gram by row count. Every other per-replicate value depends on its
+replicate's draws alone, so chunking moves no bit.
 
 No SciPy module is loaded here: the Faddeeva function of the n = 3 gain
 column is `_faddeeva`, NumPy code, so importing driftlab and every gain call
@@ -33,7 +35,9 @@ import numpy as np
 from .estimators import (
     BayesSpec,
     CylindricalFunctional,
-    posterior_drift_curve,
+    _posterior_grid_terms,
+    _posterior_path_curve,
+    posterior_drift_curve,  # noqa: F401 (not called here: perfbench/spans.py wraps this name)
     stein_closed_forms,
     stein_terms,
 )
@@ -255,18 +259,17 @@ def _report(moments, seed, label, j=()):
 # its settings as keywords bound with functools.partial and returns a tuple
 # of per-replicate arrays, replicate index first.
 
-_SUB_CHUNK = 64  # the fewest replicates (groups) a chunk draws
-_CHUNK_NORMALS = 2**16  # a chunk draws about this many normals, or fewer
+_CHUNK_NORMALS = 2**16  # a chunk draws at most this many normals, or one row
 
 
 def _chunk_rows(width):
     """Replicates (groups) a block kernel draws and forms at once, when each
     draws width normals: the largest power of two not above
-    _CHUNK_NORMALS / width, clamped to [_SUB_CHUNK, _BLOCK]. A power of two
+    _CHUNK_NORMALS / width, at least 1 and at most _BLOCK. A power of two
     no larger than _task_size(width), so pool tasks start on chunk
     boundaries."""
     rows = 1 << (max(_CHUNK_NORMALS // width, 1).bit_length() - 1)
-    return min(max(rows, _SUB_CHUNK), _BLOCK)
+    return min(rows, _BLOCK)
 
 
 def _chunked(count, width, chunk, *row_shapes):
@@ -390,6 +393,8 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
     sig_left = sigma_profile.value(lefts) * sqdt
     tau_left = spec.tau.value(lefts) * sqdt
     drift = (spec.v if u is None else u).values(grid.points, params)
+    # the posterior curve's grid terms, formed once for every chunk
+    grid_terms = _posterior_grid_terms(spec.v, spec.tau, sigma_profile, grid, params)
     # m noise increments, then m prior-drift increments when u is drawn;
     # the streams are prefix-stable, so a fixed drift just draws fewer
     dim = 2 * m if u is None else m
@@ -405,7 +410,7 @@ def _bayes_block(start, count, *, seed, grid_m, spec, params, u):
         # distribution at the nodes), so no basis truncation enters
         x = _from_zero(draws[:, :m], sig_left, x)
         x += u_vals
-        err = posterior_drift_curve(x, spec.v, spec.tau, sigma_profile, grid, params, curve)
+        err = _posterior_path_curve(x, *grid_terms, curve)
         err -= u_vals
         err *= err
         return (err @ qw,)

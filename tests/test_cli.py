@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import math
@@ -257,6 +258,20 @@ def test_output_bytes_pinned(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
     plot = (tmp_path / "out.csv.plot.txt").read_text().replace(str(out), "OUT")
     assert hashlib.sha256(plot.encode("ascii")).hexdigest() == plot_digest
+
+
+@pytest.mark.parametrize("value, text", [
+    (-0.0, format(-0.0, ".17g")), (5e-324, format(5e-324, ".17g")),
+    (1e16, format(1e16, ".17g")), (0.1, format(0.1, ".17g")),
+    (np.float64(1 / 3), format(1 / 3, ".17g")),
+    (np.int64(2**53 + 1), format(float(2**53 + 1), ".17g")),
+    (2**53 + 1, str(2**53 + 1)), (True, "1"), (False, "0"), ("unbiased-risk", "unbiased-risk"),
+])
+def test_cells_keep_the_bytes_of_the_per_value_rule(tmp_path, value, text):
+    # one template, built from the first row's types, formats every row
+    out = tmp_path / "out.csv"
+    cli._write(argparse.Namespace(subcommand="constant", out=str(out)), [(value,) * 3] * 2)
+    assert out.read_text() == "estimate,stderr,reps\n" + f"{text},{text},{text}\n" * 2
 
 
 # one block split into tasks, an odd replicate count, a repeated swept value;

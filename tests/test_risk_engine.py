@@ -274,7 +274,8 @@ class TestChunkRule:
     kernel's columns are byte for byte those of one whole-block chunk."""
 
     @pytest.mark.parametrize("width, rows", [
-        (1, 4096), (16, 4096), (17, 2048), (200, 256), (511, 128), (1024, 64), (4096, 64),
+        (1, 4096), (16, 4096), (17, 2048), (200, 256), (511, 128), (1024, 64), (2048, 32),
+        (4096, 16), (16384, 4), (10**6, 1),
     ])
     def test_chunk_rows(self, width, rows):
         assert risk_engine._chunk_rows(width) == rows
@@ -307,11 +308,26 @@ class TestChunkRule:
                          params=PARAMS, u=u)
         self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 1000))
 
+    @pytest.mark.parametrize("u", [None, U], ids=["prior", "fixed"])
+    def test_bayes_at_the_acceptance_grid(self, monkeypatch, u):
+        # 16- and 32-replicate chunks, every one on the grid terms formed
+        # once for the block call
+        spec = BayesSpec(tau=TWO_BREAKPOINT_TAU, v=DriftSpec.linear(0.5))
+        worker = partial(risk_engine._bayes_block, seed=5, grid_m=2048, spec=spec,
+                         params=PARAMS, u=u)
+        self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 100))
+
     @pytest.mark.parametrize("group", [1, 3])
     def test_efficient(self, monkeypatch, group):
         worker = partial(risk_engine._efficient_block, seed=5, params=PARAMS, n_basis=300,
                          group=group)
         self.assert_same_bytes(*whole_block(monkeypatch, worker, 4096, 1000))
+
+    def test_efficient_groups_of_sixteen(self, monkeypatch):
+        # 4-group chunks of 16 replicates at n_basis 1024
+        worker = partial(risk_engine._efficient_block, seed=5, params=PARAMS, n_basis=1024,
+                         group=16)
+        self.assert_same_bytes(*whole_block(monkeypatch, worker, 256, 30))
 
     @pytest.mark.parametrize("n", [20, 300, 1024])
     def test_stein_risk(self, monkeypatch, n):
@@ -327,11 +343,11 @@ class TestDrawBuffer:
     is set by the shapes the block asks for."""
 
     def test_group_block_draws_into_one_buffer(self, monkeypatch):
-        # a 64-group chunk of 16 draws 8 MiB into the one buffer, and its
-        # group means are 0.5 MiB: the block peaks at 8.6 MiB. The bound
-        # leaves 3.4 MiB, less than a second 8 MiB draw array; with a fresh
-        # draw array per sub-chunk the block peaked at 16.5 MiB, and at
-        # 256 groups at 38 MiB with one 32 MiB buffer and 66 MiB without
+        # a 4-group chunk of 16 draws 0.5 MiB into the one buffer, and the
+        # block peaks at 0.6 MiB. The bound leaves 0.4 MiB, less than a
+        # second draw array; with 64-group chunks the block peaked at
+        # 8.6 MiB, with a fresh draw array per 64-group chunk at 16.5 MiB,
+        # and at 256 groups at 38 MiB with one 32 MiB buffer and 66 MiB without
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -340,7 +356,7 @@ class TestDrawBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 1.0 * 2**20
 
     @pytest.mark.parametrize("block, group, width", [
         (partial(risk_engine._efficient_block, seed=1, params=PARAMS, n_basis=512, group=3), 3,
@@ -369,14 +385,15 @@ class TestDrawBuffer:
                          for off in range(0, 600, sub)]
         assert len(buffers) == 1
 
-    @pytest.mark.parametrize("u, bound", [(None, 6.5), (U, 4.5)], ids=["prior", "fixed"])
+    @pytest.mark.parametrize("u, bound", [(None, 1.8), (U, 2.2)], ids=["prior", "fixed"])
     def test_bayes_paths_fill_buffers_of_the_block_call(self, monkeypatch, u, bound):
-        # at grid 2048 a 64-replicate chunk's draws are 2 and 1 MiB and each
-        # path and the posterior curve 1 MiB, all buffers of the block call:
-        # the block peaks at 5.4 and 3.4 MiB. The bounds leave 1.1 MiB, less
-        # than one more path; with fresh draws, paths and curve per sub-chunk
-        # it peaked at 9.3 and 7.3 MiB, and at 256 replicates at 40.3 and
-        # 32.3 MiB with fresh paths
+        # at grid 2048 a chunk draws 0.5 MiB, 16 replicates with a prior
+        # drift and 32 with a fixed one; each path and the posterior curve
+        # are 0.25 and 0.5 MiB, all buffers of the block call: the block
+        # peaks at 1.6 and 1.8 MiB. The bounds leave 0.2 and 0.4 MiB, less
+        # than one more path. With 64-replicate chunks it peaked at 5.4 and
+        # 3.4 MiB, with fresh draws, paths and curve per chunk at 9.3 and
+        # 7.3 MiB, and at 256 replicates at 40.3 and 32.3 MiB with fresh paths
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -388,10 +405,10 @@ class TestDrawBuffer:
         assert peak < bound * 2**20
 
     def test_bayes_block_peak_with_a_prior_drift(self, monkeypatch):
-        # 64-replicate chunks: the draws are 2 MiB and each path and
-        # posterior-curve buffer 1 MiB, 5.4 MiB in all; 128-replicate chunks
-        # would double that, and with 256-replicate sub-chunks the block
-        # peaked at 36.3 MiB
+        # 16-replicate chunks: the draws are 0.5 MiB and each path and
+        # posterior-curve buffer 0.25 MiB, 1.6 MiB at the peak; 32-replicate
+        # chunks would double that, 64-replicate chunks peaked at 5.4 MiB,
+        # and 256-replicate chunks at 36.3 MiB
         monkeypatch.setattr(risk_engine, "_noise_block", zero_draws)
         tracemalloc.start()
         try:
@@ -400,7 +417,7 @@ class TestDrawBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6.5 * 2**20
+        assert peak < 1.8 * 2**20
 
     def test_stein_block_scales_its_draws_in_place(self, monkeypatch):
         # the risk column alone (no grid) is formed in 64-replicate chunks at
@@ -447,7 +464,11 @@ class TestTaskSplit:
     def test_tasks_keep_the_sub_chunk_boundaries(self):
         for task in TASK_SIZES:
             assert risk_engine._BLOCK % task == 0
-            assert task % risk_engine._SUB_CHUNK == 0
+            # a width whose chunks are longer than task is never split into
+            # tasks that short
+            for width in (1, 16, 17, 200, 1024, 2048, 4096, 16384, 10**6):
+                rows = risk_engine._chunk_rows(width)
+                assert task % rows == 0 or risk_engine._task_size(width) == risk_engine._BLOCK
 
     @pytest.mark.parametrize("width, task", [
         (1, risk_engine._BLOCK), (4, risk_engine._BLOCK), (511, risk_engine._BLOCK),
